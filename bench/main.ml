@@ -1148,6 +1148,110 @@ let bench_solver () =
   end
 
 (* ====================================================================== *)
+(* Searcher: selection cost per strategy on one exhaustive workload       *)
+(* ====================================================================== *)
+
+type searcher_row = {
+  strategy : string;
+  sr : Posix.Env.t ED.result;
+  selects : int;
+  wall_s : float;
+  mean_ns : float;
+  p50_ns : int;
+  p90_ns : int;
+  p99_ns : int;
+}
+
+let bench_searcher ?(quick = false) () =
+  let fmt_len = if quick then 4 else 5 in
+  section "Searcher"
+    (Printf.sprintf
+       "Exhaustive printf/sym-%d under every search strategy, each select timed\n\
+        on the monotonic clock.  Every strategy must reach the same paths,\n\
+        errors, instructions and coverage as dfs (exit 1 otherwise).  The\n\
+        interleaved/dfs wall ratio is reported, not gated (target <= 2x).\n\
+        Writes BENCH_searcher.json."
+       fmt_len);
+  let program = Targets.Printf_target.program ~fmt_len in
+  let run name =
+    let s = Engine.Searcher.of_name ~rng:(Random.State.make [| 42 |]) name in
+    let ns = ref (Array.make 4096 0) and n = ref 0 in
+    let select () =
+      let t0 = Monotonic_clock.now () in
+      let picked = s.Engine.Searcher.select () in
+      let dt = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
+      if !n = Array.length !ns then ns := Array.append !ns (Array.make !n 0);
+      !ns.(!n) <- dt;
+      incr n;
+      picked
+    in
+    let solver = Smt.Solver.create () in
+    let cfg = Posix.Api.make_config ~solver ~nlines:program.Cvm.Program.nlines () in
+    let st0 = Posix.Api.initial_state program ~args:[] in
+    let t0 = Unix.gettimeofday () in
+    let r = ED.run ~collect_tests:0 cfg { s with Engine.Searcher.select } st0 in
+    let elapsed = Unix.gettimeofday () -. t0 in
+    let sorted = Array.sub !ns 0 !n in
+    Array.sort compare sorted;
+    let pct q = if !n = 0 then 0 else sorted.(min (!n - 1) (int_of_float (q *. float_of_int !n))) in
+    {
+      strategy = name;
+      sr = r;
+      selects = !n;
+      wall_s = elapsed;
+      mean_ns = float_of_int (Array.fold_left ( + ) 0 sorted) /. float_of_int (max 1 !n);
+      p50_ns = pct 0.50;
+      p90_ns = pct 0.90;
+      p99_ns = pct 0.99;
+    }
+  in
+  let rows = List.map run Engine.Searcher.names in
+  let totals row =
+    Printf.sprintf "%d paths, %d errors, %d instructions, %.4f coverage" row.sr.ED.paths_explored
+      row.sr.ED.errors row.sr.ED.instructions row.sr.ED.coverage
+  in
+  let reference = totals (List.hd rows) in
+  let failures =
+    List.filter_map
+      (fun row ->
+        if totals row = reference then None
+        else Some (Printf.sprintf "%s: %s, dfs: %s" row.strategy (totals row) reference))
+      rows
+  in
+  Printf.printf "%-12s %6s %6s %8s %6s %8s %8s %7s %7s %7s %7s\n" "strategy" "paths" "errors"
+    "instrs" "cov%" "selects" "wall_s" "mean_ns" "p50_ns" "p90_ns" "p99_ns";
+  List.iter
+    (fun row ->
+      Printf.printf "%-12s %6d %6d %8d %6.1f %8d %8.3f %7.0f %7d %7d %7d\n" row.strategy
+        row.sr.ED.paths_explored row.sr.ED.errors row.sr.ED.instructions
+        (100.0 *. row.sr.ED.coverage) row.selects row.wall_s row.mean_ns row.p50_ns row.p90_ns
+        row.p99_ns)
+    rows;
+  let wall name = (List.find (fun row -> row.strategy = name) rows).wall_s in
+  let ratio = wall "interleaved" /. wall "dfs" in
+  Printf.printf "interleaved/dfs wall ratio: %.2fx (target <= 2x, not gated)\n" ratio;
+  let oc = open_out "BENCH_searcher.json" in
+  Printf.fprintf oc "{ \"bench\": \"searcher\", \"quick\": %b, \"program\": \"printf/sym-%d\",\n  \"strategies\": [" quick fmt_len;
+  List.iteri
+    (fun i row ->
+      Printf.fprintf oc
+        "%s\n  { \"name\": %S, \"paths\": %d, \"errors\": %d, \"instructions\": %d, \
+         \"coverage\": %.4f, \"selects\": %d, \"elapsed_s\": %.4f, \"select_mean_ns\": %.0f, \
+         \"select_p50_ns\": %d, \"select_p90_ns\": %d, \"select_p99_ns\": %d }"
+        (if i = 0 then "" else ",")
+        row.strategy row.sr.ED.paths_explored row.sr.ED.errors row.sr.ED.instructions
+        row.sr.ED.coverage row.selects row.wall_s row.mean_ns row.p50_ns row.p90_ns row.p99_ns)
+    rows;
+  Printf.fprintf oc " ],\n  \"interleaved_dfs_wall_ratio\": %.3f, \"ok\": %b }\n" ratio
+    (failures = []);
+  close_out oc;
+  Printf.printf "wrote BENCH_searcher.json\n";
+  if failures <> [] then begin
+    List.iter (fun m -> Printf.printf "TOTALS MISMATCH: %s\n" m) failures;
+    exit 1
+  end
+
+(* ====================================================================== *)
 (* Scaling: true-multicore wall-clock speedup (the real-time counterpart  *)
 (* of Figs. 7-8, on Cluster.Parallel instead of the virtual-time driver)  *)
 (* ====================================================================== *)
@@ -2260,6 +2364,8 @@ let experiments =
     ("ablation-join", ablation_join);
     ("faults", bench_faults);
     ("solver", bench_solver);
+    ("searcher", fun () -> bench_searcher ());
+    ("searcher-quick", fun () -> bench_searcher ~quick:true ());
     ("scaling", fun () -> bench_scaling ());
     ("scaling-quick", fun () -> bench_scaling ~quick:true ());
     ("faults-parallel", fun () -> bench_faults_parallel ());

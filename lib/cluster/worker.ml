@@ -13,9 +13,9 @@
 
    Selection interleaves KLEE's random-path strategy (over the whole
    frontier, virtual nodes included) with the coverage-optimized weighted
-   strategy (over materialized states), as in the paper's evaluation; a
-   custom weight function can replace the coverage weights (used e.g. by
-   the fewest-faults-first strategy of section 7.3.3). *)
+   strategy (over materialized states), as in the paper's evaluation.
+   Both are descents of the one weighted frontier trie: materialized
+   entries carry their state's {!Engine.State.weight}, virtual ones 0. *)
 
 module Path = Engine.Path
 module Trie = Engine.Trie
@@ -39,8 +39,6 @@ type 'env mode =
       recov : bool; (* replaying a recovery job *)
     }
 
-type policy = Random_path_only | Interleaved
-
 type 'env t = {
   id : int;
   cfg : 'env Executor.config;
@@ -54,8 +52,6 @@ type 'env t = {
      when a fork produces the exact path; see DESIGN.md, "Failure
      semantics". *)
   rng : Random.State.t;
-  policy : policy;
-  weight : ('env State.t -> float) option;
   quantum : int; (* instructions to run a state before reselecting *)
   collect_tests : int;
   (* snapshot cache: recently seen states at fork points, so replays start
@@ -99,7 +95,7 @@ type 'env t = {
   mutable replay_t0 : int; (* wall-clock start of the replay in flight (profiling only) *)
 }
 
-let create ?(policy = Interleaved) ?weight ?(quantum = 50) ?(collect_tests = 0)
+let create ?(quantum = 50) ?(collect_tests = 0)
     ?(snap_limit = 512) ?prof ~id ~cfg ~make_root ~seed () =
   let w =
     {
@@ -110,8 +106,6 @@ let create ?(policy = Interleaved) ?weight ?(quantum = 50) ?(collect_tests = 0)
       fence = Trie.create ();
       banned = Trie.create ();
       rng = Random.State.make [| seed; id |];
-      policy;
-      weight;
       quantum;
       collect_tests;
       snapshots = Hashtbl.create 256;
@@ -145,39 +139,22 @@ let create ?(policy = Interleaved) ?weight ?(quantum = 50) ?(collect_tests = 0)
 let emit w ev =
   match w.cfg.Executor.obs with None -> () | Some s -> Obs.Sink.event s ev
 
+(* Every frontier insertion: materialized entries are weighted for
+   coverage-optimized selection, virtual ones carry weight 0. *)
+let add_entry w e =
+  Trie.add ?weight:(Option.map State.weight e.estate) w.frontier e.epath e
+
 (* Seed the worker with the whole execution tree (the first worker's
    initial job, paper section 3.1). *)
 let seed_root w =
   let root = w.make_root () in
-  Trie.add w.frontier [] { epath = []; estate = Some root; erecovery = false }
+  add_entry w { epath = []; estate = Some root; erecovery = false }
 
 let queue_length w = Trie.size w.frontier
 
 let is_idle w = Trie.size w.frontier = 0 && w.mode = Exploring
 
 (* --- selection ------------------------------------------------------------------ *)
-
-let default_weight (st : 'env State.t) =
-  1.0 /. float_of_int (1 + st.State.steps - st.State.last_new_cover)
-
-(* Weighted random choice among materialized entries; None if the frontier
-   has no materialized entry. *)
-let pick_weighted w =
-  let weight = match w.weight with Some f -> f | None -> default_weight in
-  let entries =
-    Trie.fold (fun e acc -> match e.estate with Some st -> (e, weight st) :: acc | None -> acc)
-      w.frontier []
-  in
-  match entries with
-  | [] -> None
-  | _ ->
-    let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 entries in
-    let target = Random.State.float w.rng total in
-    let rec scan acc = function
-      | [] -> Some (fst (List.hd entries))
-      | (e, wt) :: rest -> if acc +. wt >= target then Some e else scan (acc +. wt) rest
-    in
-    scan 0.0 entries
 
 (* Pending batch members drain first, in their transfer (tree-adjacent)
    order: each replay then restarts from the chain its neighbour's replay
@@ -190,20 +167,23 @@ let rec next_batch_member w =
   | p :: rest -> (
     w.batch_fifo <- rest;
     match Trie.find w.frontier p with
-    | Some e when e.estate = None -> Some e
+    | Some e when e.estate = None ->
+      ignore (Trie.remove w.frontier p);
+      Some e
     | _ -> next_batch_member w)
 
+(* Remove and return the next candidate.  Coverage-optimized turns fall
+   back to random-path while no materialized entry has weight. *)
 let select w =
   match next_batch_member w with
   | Some e -> Some e
-  | None -> (
-    match w.policy with
-    | Random_path_only -> Trie.random_pick w.rng w.frontier
-    | Interleaved ->
-      w.cov_turn <- not w.cov_turn;
-      if w.cov_turn then
-        match pick_weighted w with Some e -> Some e | None -> Trie.random_pick w.rng w.frontier
-      else Trie.random_pick w.rng w.frontier)
+  | None ->
+    w.cov_turn <- not w.cov_turn;
+    let total = Trie.total w.frontier in
+    Trie.take
+      (if w.cov_turn && total > 0.0 then
+         Trie.pick w.frontier ~target:(Random.State.float w.rng total)
+       else Trie.random_pick w.rng w.frontier)
 
 (* --- terminations ----------------------------------------------------------------- *)
 
@@ -303,7 +283,7 @@ let add_running w states =
       let p = State.path st in
       cache_snapshot w st;
       emit w (Obs.Event.Candidate_added { depth = List.length p; virt = false });
-      Trie.add w.frontier p { epath = p; estate = Some st; erecovery = false })
+      add_entry w { epath = p; estate = Some st; erecovery = false })
     states
 
 (* Drop fork products whose exact node another worker owns (it received
@@ -376,7 +356,7 @@ let replay_step w ~target ~remaining ~rstate ~recov =
         if rest = [] then begin
           (* arrived: the node is now materialized *)
           let p = State.path st in
-          Trie.add w.frontier p { epath = p; estate = Some st; erecovery = false };
+          add_entry w { epath = p; estate = Some st; erecovery = false };
           w.replays_done <- w.replays_done + 1;
           unpin_target w target;
           ignore (Obs.Profile.record w.prof (replay_kind recov) ~start_ns:w.replay_t0);
@@ -409,14 +389,13 @@ let execute w ~budget =
       match select w with
       | None -> idle := true
       | Some entry -> (
-        ignore (Trie.remove w.frontier entry.epath);
         match entry.estate with
         | None ->
           (* virtual node: lazy replay from the deepest cached ancestor *)
           if Hashtbl.mem w.snapshots (Path.to_string entry.epath) then begin
             (* exact snapshot: materialize without any replay *)
             let st = Hashtbl.find w.snapshots (Path.to_string entry.epath) in
-            Trie.add w.frontier entry.epath { entry with estate = Some st };
+            add_entry w { entry with estate = Some st };
             w.replays_done <- w.replays_done + 1;
             unpin_target w entry.epath;
             emit w
@@ -514,7 +493,7 @@ let receive_jobs ?(recovery = false) w jobs =
     (fun p ->
       w.jobs_received <- w.jobs_received + 1;
       emit w (Obs.Event.Candidate_added { depth = List.length p; virt = true });
-      Trie.add w.frontier p { epath = p; estate = None; erecovery = recovery })
+      add_entry w { epath = p; estate = None; erecovery = recovery })
     jobs
 
 (* Import a factored batch: the members enter the frontier as full root

@@ -24,10 +24,6 @@ type 'env mode =
       recov : bool;  (** replaying a recovery job *)
     }
 
-type policy =
-  | Random_path_only
-  | Interleaved  (** random-path alternating with coverage-optimized *)
-
 type 'env t = {
   id : int;
   cfg : 'env Engine.Executor.config;
@@ -39,8 +35,6 @@ type 'env t = {
           recovery; fork products matching one are dropped (and the
           entry consumed) *)
   rng : Random.State.t;
-  policy : policy;
-  weight : ('env Engine.State.t -> float) option;
   quantum : int;
   collect_tests : int;
   snapshots : (string, 'env Engine.State.t) Hashtbl.t;
@@ -79,16 +73,12 @@ type 'env t = {
       (** wall-clock start of the replay in flight (profiling only) *)
 }
 
-(** [weight] replaces the coverage-optimized weighting (used e.g. by a
-    fewest-faults-first strategy); [quantum] is how many instructions a
-    selected state runs before reselection; [snap_limit] bounds the
-    replay snapshot cache (0 disables it, forcing replay from the root);
-    [prof] records each from-path replay as a wall-clock [job_replay]
-    span (snapshot-exact materializations are skipped — there is no
-    replay to time). *)
+(** [quantum] is how many instructions a selected state runs before
+    reselection; [snap_limit] bounds the replay snapshot cache (0
+    disables it, forcing replay from the root); [prof] records each
+    from-path replay as a wall-clock [job_replay] span (snapshot-exact
+    materializations are skipped — there is no replay to time). *)
 val create :
-  ?policy:policy ->
-  ?weight:('env Engine.State.t -> float) ->
   ?quantum:int ->
   ?collect_tests:int ->
   ?snap_limit:int ->

@@ -24,14 +24,15 @@ type 'env result = {
   inc_stats : Smt.Solver.inc_stats; (* incremental-solving counters (zero when disabled) *)
 }
 
-let coverage_fraction cfg program =
-  let coverable = List.length (Cvm.Program.covered_lines program) in
+(* [coverable]: the program's coverable-line count, computed once per run
+   (building it walks every instruction). *)
+let coverage_fraction cfg ~coverable =
   if coverable = 0 then 1.0
   else float_of_int (Executor.coverage_count cfg) /. float_of_int coverable
 
-let goal_met cfg program ~paths = function
+let goal_met cfg ~coverable ~paths = function
   | Exhaust -> false
-  | Coverage target -> coverage_fraction cfg program >= target
+  | Coverage target -> coverage_fraction cfg ~coverable >= target
   | Instructions n -> cfg.Executor.stats.Executor.useful_instrs >= n
   | Paths n -> paths >= n
 
@@ -45,7 +46,7 @@ let goal_met cfg program ~paths = function
 let instrs_per_tick = 1000
 
 let run ?(collect_tests = max_int) ?(goal = Exhaust) cfg searcher (st0 : 'env State.t) =
-  let program = st0.State.program in
+  let coverable = List.length (Cvm.Program.covered_lines st0.State.program) in
   searcher.Searcher.add st0;
   let tests = ref [] in
   let ntests = ref 0 in
@@ -106,7 +107,7 @@ let run ?(collect_tests = max_int) ?(goal = Exhaust) cfg searcher (st0 : 'env St
               | None -> ()
             end)
         finished;
-      if goal_met cfg program ~paths:!paths goal then stop := true
+      if goal_met cfg ~coverable ~paths:!paths goal then stop := true
   done;
   (match cfg.Executor.obs with
   | None -> ()
@@ -123,7 +124,7 @@ let run ?(collect_tests = max_int) ?(goal = Exhaust) cfg searcher (st0 : 'env St
     paths_explored = !paths;
     pruned_paths = !pruned;
     exhausted = searcher.Searcher.size () = 0;
-    coverage = coverage_fraction cfg program;
+    coverage = coverage_fraction cfg ~coverable;
     instructions = cfg.Executor.stats.Executor.useful_instrs;
     errors = !errors;
     solver_stats = Smt.Solver.copy_stats cfg.Executor.solver;

@@ -23,8 +23,6 @@ type 'env result = {
           created with [~use_incremental:false]) *)
 }
 
-val coverage_fraction : 'env Executor.config -> Cvm.Program.t -> float
-
 (** Explore from [st0] until the goal is met or the tree is exhausted.
     [collect_tests] bounds how many test cases are materialized (solving
     for inputs is the expensive part); path counting is unaffected. *)

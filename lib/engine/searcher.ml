@@ -4,9 +4,8 @@
    "an interleaving of random-path and coverage-optimized strategies");
    the cluster layer coordinates them globally via the coverage overlay.
 
-   All searchers share one interface and support removal by path, so an
-   interleaved searcher can keep several orderings over the same state
-   population.  A state's path is its unique key. *)
+   All searchers share one interface and support removal by path.  A
+   state's path is its unique key. *)
 
 type 'env t = {
   add : 'env State.t -> unit;
@@ -29,7 +28,7 @@ let key_of_path p = Path.to_string p
    state — which the driver does on every step — replaces the table
    binding without pushing a second copy of the key, so the ordering
    stays O(live states), not O(steps).  Stale keys (left by [remove],
-   e.g. job transfers or interleaving) are skipped lazily on pop and
+   e.g. job transfers) are skipped lazily on pop and
    compacted away once they outnumber the live population. *)
 
 let stale_bound live = (2 * live) + 64
@@ -118,122 +117,81 @@ let bfs () =
     pending = (fun () -> Hashtbl.length queued);
   }
 
-(* --- random-path ----------------------------------------------------------------- *)
+(* --- the weighted frontier ------------------------------------------------------- *)
 
-(* KLEE's random-path searcher: walk the execution tree from the root,
-   picking a uniformly random child at each internal node, until reaching
-   a leaf state.  Deep subtrees thus do not dominate selection.  The
-   alive states' paths live in the shared count-annotated {!Trie}. *)
+(* random-path, cov-opt and interleaved are one container: the alive
+   states in a {!Trie} keyed by path, each weighted by {!State.weight}.
+   They differ only in which descent each turn uses: KLEE's random path
+   (deep subtrees do not dominate selection) or coverage-optimized (a
+   weighted draw favouring states that recently covered new code; a
+   state's weight cannot change while it is queued, so the trie's subtree
+   sums give the exact distribution in one descent).
 
-let random_path ~rng () =
-  let root : 'env State.t Trie.t = Trie.create () in
-  let rec select () =
-    match Trie.random_pick rng root with
-    | None -> None
-    | Some st -> if Trie.remove root (State.path st) then Some st else select ()
+   The driver re-adds the state it just selected (same path) or its fork
+   children (one choice deeper).  Those re-adds resolve against the
+   last-selected node by physical equality of the newest-first path list
+   instead of walking from the root. *)
+
+type turn = Random_path | Cov_opt
+
+let frontier ~rng turns =
+  let trie = Trie.create () in
+  let turn = ref 0 in
+  (* the last-selected node and its state's path; the root and [] are
+     always a valid pair *)
+  let root = Trie.root trie in
+  let last = ref root and last_path = ref [] in
+  let forget () =
+    last := root;
+    last_path := []
   in
-  {
-    add = (fun st -> Trie.add root (State.path st) st);
-    select;
-    remove = (fun p -> ignore (Trie.remove root p));
-    size = (fun () -> Trie.size root);
-    pending = (fun () -> Trie.size root);
-  }
-
-(* --- coverage-optimized -------------------------------------------------------------- *)
-
-(* Weighted random selection: states that recently covered new code get
-   high weight — a proxy for "estimated distance to an uncovered line"
-   (paper section 7: coverage-optimized strategy). *)
-
-let coverage_optimized ~rng () =
-  let table : (string, 'env State.t) Hashtbl.t = Hashtbl.create 64 in
-  let weight st =
-    let staleness = st.State.steps - st.State.last_new_cover in
-    1.0 /. float_of_int (1 + staleness)
+  let add (st : _ State.t) =
+    let weight = State.weight st in
+    match st.State.path with
+    | p when p == !last_path -> Trie.add ~weight ~at:!last trie [] st
+    | c :: parent when parent == !last_path -> Trie.add ~weight ~at:!last trie [ c ] st
+    | _ ->
+      forget ();
+      Trie.add ~weight trie (State.path st) st
   in
   let select () =
-    if Hashtbl.length table = 0 then None
-    else begin
-      let total = Hashtbl.fold (fun _ st acc -> acc +. weight st) table 0.0 in
-      let target = Random.State.float rng total in
-      let chosen = ref None in
-      let acc = ref 0.0 in
-      (try
-         Hashtbl.iter
-           (fun k st ->
-             acc := !acc +. weight st;
-             if !acc >= target then begin
-               chosen := Some (k, st);
-               raise Exit
-             end)
-           table
-       with Exit -> ());
-      match !chosen with
-      | Some (k, st) ->
-        Hashtbl.remove table k;
-        Some st
-      | None ->
-        (* floating-point slack: fall back to any state *)
-        let any = Hashtbl.fold (fun k st acc -> match acc with None -> Some (k, st) | s -> s) table None in
-        (match any with
-        | Some (k, st) ->
-          Hashtbl.remove table k;
-          Some st
-        | None -> None)
-    end
+    let t = turns.(!turn) in
+    turn := (!turn + 1) mod Array.length turns;
+    let total = Trie.total trie in
+    let node =
+      match t with
+      | Cov_opt when total > 0.0 -> Trie.pick trie ~target:(Random.State.float rng total)
+      | _ -> Trie.random_pick rng trie
+    in
+    match Trie.take node with
+    | Some st as picked ->
+      last := node;
+      last_path := st.State.path;
+      picked
+    | None -> None
   in
   {
-    add = (fun st -> Hashtbl.replace table (key st) st);
+    add;
     select;
-    remove = (fun p -> Hashtbl.remove table (key_of_path p));
-    size = (fun () -> Hashtbl.length table);
-    pending = (fun () -> Hashtbl.length table);
+    remove =
+      (fun p ->
+        forget ();
+        ignore (Trie.remove trie p));
+    size = (fun () -> Trie.size trie);
+    pending = (fun () -> Trie.size trie);
   }
 
-(* --- interleaved ------------------------------------------------------------------------ *)
-
-(* Alternate between sub-strategies over the same state population — the
-   KLEE/Cloud9 default interleaves random-path with coverage-optimized. *)
-let interleave subs =
-  match subs with
-  | [] -> invalid_arg "Searcher.interleave: no sub-searchers"
-  | _ ->
-    let subs = Array.of_list subs in
-    let turn = ref 0 in
-    let select () =
-      let n = Array.length subs in
-      let rec try_from k attempts =
-        if attempts = 0 then None
-        else
-          match subs.(k).select () with
-          | Some st ->
-            (* keep the populations consistent *)
-            Array.iteri (fun i s -> if i <> k then s.remove (State.path st)) subs;
-            turn := (k + 1) mod n;
-            Some st
-          | None -> try_from ((k + 1) mod n) (attempts - 1)
-      in
-      try_from !turn n
-    in
-    {
-      add = (fun st -> Array.iter (fun s -> s.add st) subs);
-      select;
-      remove = (fun p -> Array.iter (fun s -> s.remove p) subs);
-      size = (fun () -> subs.(0).size ());
-      pending = (fun () -> Array.fold_left (fun acc s -> acc + s.pending ()) 0 subs);
-    }
-
-(* The searcher used in the paper's evaluation. *)
-let default ~rng () = interleave [ random_path ~rng (); coverage_optimized ~rng () ]
+(* The searcher used in the paper's evaluation: random-path interleaved
+   with coverage-optimized. *)
+let default ~rng () = frontier ~rng [| Random_path; Cov_opt |]
 
 let names = [ "dfs"; "bfs"; "random-path"; "cov-opt"; "interleaved"; "default" ]
 
 let of_name ~rng = function
   | "dfs" -> dfs ()
   | "bfs" -> bfs ()
-  | "random-path" -> random_path ~rng ()
-  | "cov-opt" -> coverage_optimized ~rng ()
+  | "random-path" -> frontier ~rng [| Random_path |]
+  | "cov-opt" -> frontier ~rng [| Cov_opt |]
   | "default" | "interleaved" -> default ~rng ()
   | other ->
     invalid_arg

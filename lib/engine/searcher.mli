@@ -1,8 +1,9 @@
 (** Exploration strategies: which candidate state to execute next.
 
     All searchers share one interface and support removal by path (a
-    state's path is its unique key), so an interleaved searcher can keep
-    several orderings over the same state population. *)
+    state's path is its unique key).  [random-path], [cov-opt] and
+    [interleaved] are one weighted frontier ({!Trie}) that differs only in
+    which descent each selection uses. *)
 
 type 'env t = {
   add : 'env State.t -> unit;
@@ -19,19 +20,10 @@ type 'env t = {
 val dfs : unit -> 'env t
 val bfs : unit -> 'env t
 
-(** KLEE's random-path strategy: walk the execution tree from the root,
-    picking a uniformly random child at each node — deep subtrees do not
-    dominate selection. *)
-val random_path : rng:Random.State.t -> unit -> 'env t
-
-(** Weighted random selection favoring states that recently covered new
-    code (the coverage-optimized strategy of the paper's evaluation). *)
-val coverage_optimized : rng:Random.State.t -> unit -> 'env t
-
-(** Alternate between sub-strategies over one shared population. *)
-val interleave : 'env t list -> 'env t
-
-(** The paper's evaluation default: random-path + coverage-optimized. *)
+(** The paper's evaluation default: KLEE's random-path strategy (walk the
+    execution tree from the root, picking uniformly among a node's own
+    state and its non-empty subtrees) alternating with coverage-optimized
+    weighted selection ({!State.weight}). *)
 val default : rng:Random.State.t -> unit -> 'env t
 
 (** The strategy names {!of_name} accepts, in documentation order. *)

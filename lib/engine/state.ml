@@ -84,6 +84,8 @@ type 'env t = {
 let path t = List.rev t.path
 let path_condition t = t.pc
 
+let weight t = 1.0 /. float_of_int (1 + t.steps - t.last_new_cover)
+
 (* --- threads ------------------------------------------------------------- *)
 
 let thread_exn t tid =

@@ -74,6 +74,11 @@ val path : 'env t -> Path.t
 
 val path_condition : 'env t -> Smt.Expr.t list
 
+(** Coverage-optimized selection weight [1 / (1 + steps - last_new_cover)]:
+    highest for states that covered a new line recently.  It cannot
+    change while the state waits in a frontier. *)
+val weight : 'env t -> float
+
 (** @raise Invalid_argument on unknown thread ids. *)
 val thread_exn : 'env t -> int -> thread
 

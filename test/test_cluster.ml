@@ -364,7 +364,8 @@ let test_trie_ops () =
   Alcotest.(check bool) "remove p1 again fails" false (Engine.Trie.remove t p1);
   Alcotest.(check int) "size 1" 1 (Engine.Trie.size t);
   let rng = Random.State.make [| 1 |] in
-  Alcotest.(check (option string)) "random pick finds b" (Some "b") (Engine.Trie.random_pick rng t)
+  Alcotest.(check (option string)) "random pick finds b" (Some "b")
+    (Engine.Trie.payload (Engine.Trie.random_pick rng t))
 
 let () =
   Alcotest.run "cluster"

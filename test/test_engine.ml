@@ -164,12 +164,44 @@ let test_assume_prunes () =
 
 (* --- searchers ----------------------------------------------------------------- *)
 
+(* An exhaustive run of a registry-sized target under the POSIX model. *)
+let run_target ?(goal = Engine.Driver.Exhaust) ~searcher program =
+  let solver = Smt.Solver.create () in
+  let cfg = Posix.Api.make_config ~solver ~nlines:program.Cvm.Program.nlines () in
+  Engine.Driver.run ~collect_tests:0 ~goal cfg searcher (Posix.Api.initial_state program ~args:[])
+
 let test_searchers_agree_on_path_count () =
   List.iter
     (fun strategy ->
       let _cfg, result = run_program ~strategy sym_branch_unit in
       Alcotest.(check int) (strategy ^ " explores both paths") 2 result.Engine.Driver.paths_explored)
-    [ "dfs"; "bfs"; "random-path"; "cov-opt"; "interleaved" ]
+    Engine.Searcher.names;
+  (* every strategy exhausts the same tree: identical totals at any seed *)
+  List.iter
+    (fun (target, program) ->
+      let totals strategy seed =
+        let rng = Random.State.make [| seed |] in
+        let r = run_target ~searcher:(Engine.Searcher.of_name ~rng strategy) program in
+        Alcotest.(check bool) (Printf.sprintf "%s %s exhausted" target strategy) true
+          r.Engine.Driver.exhausted;
+        Printf.sprintf "%d paths, %d errors, %d instructions, %.6f coverage"
+          r.Engine.Driver.paths_explored r.Engine.Driver.errors r.Engine.Driver.instructions
+          r.Engine.Driver.coverage
+      in
+      let reference = totals "dfs" 1 in
+      List.iter
+        (fun strategy ->
+          List.iter
+            (fun seed ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s seed %d" target strategy seed)
+                reference (totals strategy seed))
+            [ 1; 2 ])
+        Engine.Searcher.names)
+    [
+      ("printf/sym-4", Targets.Printf_target.program ~fmt_len:4);
+      ("test/sym-3", Targets.Test_target.program ~ntokens:3);
+    ]
 
 (* Regression for the dfs/bfs stale-key leak: the driver re-adds the
    stepped state every step under the same path key, and interleaving /
@@ -499,6 +531,21 @@ let test_coverage_goal_stops_early () =
   in
   Alcotest.(check bool) "stopped before exhausting" true (not result.Engine.Driver.exhausted || result.Engine.Driver.paths_explored <= 2)
 
+(* A Coverage goal stops at the first step that reaches the target: 113
+   paths and 9008 instructions on printf/sym-4 under dfs, as when the
+   coverable-line set was rebuilt on every step, and one instruction
+   earlier the target is not yet reached. *)
+let test_coverage_goal_stop_point () =
+  let program = Targets.Printf_target.program ~fmt_len:4 in
+  let run goal = run_target ~goal ~searcher:(Engine.Searcher.dfs ()) program in
+  let r = run (Engine.Driver.Coverage 0.85) in
+  Alcotest.(check int) "paths at the stop" 113 r.Engine.Driver.paths_explored;
+  Alcotest.(check int) "instructions at the stop" 9008 r.Engine.Driver.instructions;
+  Alcotest.(check bool) "target reached" true (r.Engine.Driver.coverage >= 0.85);
+  let before = run (Engine.Driver.Instructions (r.Engine.Driver.instructions - 1)) in
+  Alcotest.(check bool) "not reached one instruction earlier" true
+    (before.Engine.Driver.coverage < 0.85)
+
 (* --- determinism -------------------------------------------------------------------------- *)
 
 let test_deterministic_runs () =
@@ -550,6 +597,7 @@ let () =
         [
           Alcotest.test_case "accounting" `Quick test_coverage_accounting;
           Alcotest.test_case "goal stops early" `Quick test_coverage_goal_stops_early;
+          Alcotest.test_case "goal stop point" `Quick test_coverage_goal_stop_point;
         ] );
       ("determinism", [ Alcotest.test_case "identical runs" `Quick test_deterministic_runs ]);
     ]

@@ -212,6 +212,156 @@ let prop_trie_matches_assoc_model =
       in
       ok_finds && ok_size && ok_after)
 
+(* Weighted frontier: random add / replace / remove / select-and-re-add
+   sequences against an assoc model.  Paths come from a small alphabet so
+   replacements and shared prefixes are common; weights are multiples of
+   1/4 and targets multiples of 1/8, so every sum and every subtraction of
+   the descent is exact and the comparison with the linear scan is too. *)
+
+type trie_op =
+  | T_add of Path.t * int * float
+  | T_remove of Path.t
+  | T_readd of bool * int * Path.t * float (* cov turn, target slot, suffix, weight *)
+
+let gen_small_path =
+  QCheck2.Gen.(
+    list_size (int_bound 4)
+      (oneof [ map (fun b -> Path.Branch b) bool; map (fun i -> Path.Sys i) (int_bound 1) ]))
+
+let gen_trie_ops =
+  let weight = QCheck2.Gen.map (fun q -> float_of_int q /. 4.0) (QCheck2.Gen.int_bound 8) in
+  QCheck2.Gen.(
+    list_size (int_range 1 40)
+      (frequency
+         [
+           (4, map3 (fun p v w -> T_add (p, v, w)) gen_small_path (int_bound 100) weight);
+           (2, map (fun p -> T_remove p) gen_small_path);
+           ( 3,
+             map2
+               (fun (cov, slot) (suffix, w) -> T_readd (cov, slot, suffix, w))
+               (pair bool (int_bound 1000))
+               (pair (list_size (int_bound 1) (map (fun b -> Path.Branch b) bool)) weight) );
+         ]))
+
+let print_trie_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | T_add (p, v, w) -> Printf.sprintf "add %s=%d@%g" (Path.to_string p) v w
+         | T_remove p -> "remove " ^ Path.to_string p
+         | T_readd (cov, slot, s, w) ->
+           Printf.sprintf "readd %b/%d +%s@%g" cov slot (Path.to_string s) w)
+       ops)
+
+(* Payloads carry their own path and weight, so the checks can see them. *)
+let run_trie_ops ops =
+  let t = Engine.Trie.create () in
+  let model = Hashtbl.create 16 in
+  let rng = Random.State.make [| 5 |] in
+  let ok = ref true in
+  let check () =
+    let expected_total = Hashtbl.fold (fun _ (_, _, w) acc -> acc +. w) model 0.0 in
+    ok :=
+      !ok && Engine.Trie.well_formed t
+      && Engine.Trie.size t = Hashtbl.length model
+      && Engine.Trie.total t = expected_total
+      && (Hashtbl.length model > 0 || Engine.Trie.total t = 0.0)
+      && Hashtbl.fold
+           (fun k (p, v, w) acc -> acc && Engine.Trie.find t p = Some (k, v, w))
+           model true
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | T_add (p, v, w) ->
+        let k = Path.to_string p in
+        Engine.Trie.add ~weight:w t p (k, v, w);
+        Hashtbl.replace model k (p, v, w)
+      | T_remove p ->
+        let k = Path.to_string p in
+        ok := !ok && Engine.Trie.remove t p = Hashtbl.mem model k;
+        Hashtbl.remove model k
+      | T_readd (cov, slot, suffix, w) ->
+        (* the driver pattern: select, then re-add the stepped state (same
+           path) or a fork child under the selected node *)
+        let total = Engine.Trie.total t in
+        let node =
+          if cov && total > 0.0 then
+            Engine.Trie.pick t ~target:(total *. float_of_int slot /. 1000.0)
+          else Engine.Trie.random_pick rng t
+        in
+        (match Engine.Trie.take node with
+        | None -> ok := !ok && Hashtbl.length model = 0
+        | Some (k, v, _) ->
+          let p, _, _ = Hashtbl.find model k in
+          Hashtbl.remove model k;
+          let p' = p @ suffix in
+          let k' = Path.to_string p' in
+          Engine.Trie.add ~weight:w ~at:node t suffix (k', v, w);
+          Hashtbl.replace model k' (p', v, w)));
+      check ())
+    ops;
+  (t, model, !ok)
+
+let prop_trie_weighted_model =
+  QCheck2.Test.make ~count:300 ~name:"weighted trie counts and sums vs assoc model"
+    ~print:print_trie_ops gen_trie_ops (fun ops ->
+      let t, model, ok = run_trie_ops ops in
+      (* empty it: the total must come back to exactly 0.0 *)
+      Hashtbl.iter (fun _ (p, _, _) -> ignore (Engine.Trie.remove t p)) model;
+      ok && Engine.Trie.well_formed t && Engine.Trie.size t = 0 && Engine.Trie.total t = 0.0)
+
+let prop_trie_pick_matches_scan =
+  QCheck2.Test.make ~count:300 ~name:"trie pick ~target = linear prefix-sum scan"
+    ~print:print_trie_ops gen_trie_ops (fun ops ->
+      let t, _, ok = run_trie_ops ops in
+      (* preorder, the order the descent lays the weights out in *)
+      let entries = List.rev (Engine.Trie.fold (fun e acc -> e :: acc) t []) in
+      let scan target =
+        let rec go acc = function
+          | [] -> None
+          | ((_, _, w) as e) :: rest -> if target < acc +. w then Some e else go (acc +. w) rest
+        in
+        go 0.0 entries
+      in
+      let total = Engine.Trie.total t in
+      let agree = ref true in
+      for k = 0 to int_of_float (8.0 *. total) - 1 do
+        let target = float_of_int k /. 8.0 in
+        agree := !agree && Engine.Trie.payload (Engine.Trie.pick t ~target) = scan target
+      done;
+      (* float slack: a target at or past the end clamps to the last
+         payload of positive weight *)
+      let last_positive =
+        List.fold_left (fun acc ((_, _, w) as e) -> if w > 0.0 then Some e else acc) None entries
+      in
+      let clamps target = Engine.Trie.payload (Engine.Trie.pick t ~target) = last_positive in
+      ok && !agree && (total = 0.0 || (clamps total && clamps (total +. 0.125))))
+
+(* Random-path descent is uniform over {payload here} and each non-empty
+   child at every level: with payloads at [], [T], [F] and [T;T], the root
+   splits three ways and [T] two ways. *)
+let test_trie_random_pick_distribution () =
+  let t = Engine.Trie.create () in
+  let paths = Path.[ []; [ Branch true ]; [ Branch false ]; [ Branch true; Branch true ] ] in
+  List.iter (fun p -> Engine.Trie.add t p (Path.to_string p)) paths;
+  let rng = Random.State.make [| 11 |] in
+  let n = 60_000 in
+  let hits = Hashtbl.create 4 in
+  for _ = 1 to n do
+    match Engine.Trie.payload (Engine.Trie.random_pick rng t) with
+    | Some k -> Hashtbl.replace hits k (1 + Option.value ~default:0 (Hashtbl.find_opt hits k))
+    | None -> Alcotest.fail "random_pick missed a non-empty trie"
+  done;
+  List.iter
+    (fun (k, expected) ->
+      let share = float_of_int (Option.value ~default:0 (Hashtbl.find_opt hits k)) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S drawn %.3f of the time, expected %.3f" k share expected)
+        true
+        (Float.abs (share -. expected) < 0.01))
+    [ ("", 1.0 /. 3.0); ("F", 1.0 /. 3.0); ("T", 1.0 /. 6.0); ("TT", 1.0 /. 6.0) ]
+
 let prop_trie_random_pick_member =
   let gen = QCheck2.Gen.(list_size (int_range 1 20) (pair gen_path (int_bound 100))) in
   QCheck2.Test.make ~count:200 ~name:"trie random_pick returns a stored payload" gen
@@ -219,9 +369,15 @@ let prop_trie_random_pick_member =
       let t = Engine.Trie.create () in
       List.iter (fun (p, v) -> Engine.Trie.add t p v) ops;
       let rng = Random.State.make [| 9 |] in
-      match Engine.Trie.random_pick rng t with
-      | None -> Engine.Trie.size t = 0
-      | Some v -> List.exists (fun (_, v') -> v = v') ops)
+      let removed = List.filteri (fun i _ -> i mod 3 = 0) ops in
+      List.iter (fun (p, _) -> ignore (Engine.Trie.remove t p)) removed;
+      let stored = Engine.Trie.fold (fun v acc -> v :: acc) t [] in
+      List.for_all
+        (fun _ ->
+          match Engine.Trie.payload (Engine.Trie.random_pick rng t) with
+          | None -> Engine.Trie.size t = 0
+          | Some v -> List.mem v stored)
+        (List.init 20 Fun.id))
 
 (* --- expression substitution -------------------------------------------------------- *)
 
@@ -293,7 +449,18 @@ let () =
         ]
         @ qsuite [ prop_memory_roundtrip ] );
       ("path", qsuite [ prop_path_prefix; prop_prefix_codec; prop_prefix_codec_rejects_garbage ]);
-      ("trie", qsuite [ prop_trie_matches_assoc_model; prop_trie_random_pick_member ]);
+      ( "trie",
+        qsuite
+          [
+            prop_trie_matches_assoc_model;
+            prop_trie_random_pick_member;
+            prop_trie_weighted_model;
+            prop_trie_pick_matches_scan;
+          ]
+        @ [
+            Alcotest.test_case "random_pick distribution" `Quick
+              test_trie_random_pick_distribution;
+          ] );
       ("substitution", qsuite [ prop_substitute_sound ]);
       ( "determinism",
         [
