@@ -906,8 +906,8 @@ let micro () =
     results
 
 (* ====================================================================== *)
-(* Solver hot-path microbenchmark: hash-consing + memoized simplify +     *)
-(* incremental pc vs the re-normalizing baseline                          *)
+(* Solver hot-path microbenchmark: persistent incremental SAT instance vs *)
+(* from-scratch solves                                                    *)
 (* ====================================================================== *)
 
 (* One leg's worth of measurements. *)
@@ -927,14 +927,12 @@ type solver_leg = {
 
 let bench_solver () =
   section "Solver microbenchmark"
-    "Exhaustive single-worker runs: baseline (per-call re-simplification,\n\
-     whole-pc normalization) vs optimized (memoized simplify, incremental\n\
-     State.npc/boxes, fused fork queries) vs incremental (optimized plus a\n\
-     persistent assumption-queried SAT instance with cross-fork clause\n\
-     reuse).  Verdicts, path counts and test cases must be identical on\n\
-     all legs; optimized must do strictly fewer simplify rewrites than\n\
-     baseline; incremental must beat optimized on ns/query everywhere\n\
-     (>= 1.5x on memcached2).  Writes BENCH_solver.json.";
+    "Exhaustive single-worker runs: optimized (every SAT call a from-scratch\n\
+     solve, the oracle) vs incremental (a persistent assumption-queried SAT\n\
+     instance with cross-fork clause reuse).  Paths, test cases, errors and\n\
+     instructions must be identical on both legs; incremental must reuse\n\
+     clause groups and beat optimized on ns/query everywhere (>= 1.5x on\n\
+     memcached2).  Writes BENCH_solver.json.";
   let scenarios =
     [
       ("printf5", Lazy.force printf5);
@@ -974,8 +972,7 @@ let bench_solver () =
            })
   in
   let hcount = function Some (Obs.Metrics.Vhistogram h) -> h.vcount | _ -> 0 in
-  let run_leg ~optimized ~incremental program =
-    Smt.Simplify.set_memo optimized;
+  let run_leg ~incremental program =
     Smt.Simplify.clear_memo ();
     Smt.Simplify.reset_stats ();
     (* every leg carries the same sink + profiler so the per-query spans
@@ -984,8 +981,7 @@ let bench_solver () =
     let prof = Obs.Profile.create sink in
     let solver = Smt.Solver.create ~use_incremental:incremental ~obs:sink ~prof () in
     let cfg =
-      Posix.Api.make_config ~solver ~use_incremental_pc:optimized ~max_steps:2_000_000
-        ~nlines:program.Cvm.Program.nlines ()
+      Posix.Api.make_config ~solver ~max_steps:2_000_000 ~nlines:program.Cvm.Program.nlines ()
     in
     let rng = Random.State.make [| 42 |] in
     let searcher = Engine.Searcher.of_name ~rng "dfs" in
@@ -997,7 +993,6 @@ let bench_solver () =
     let rw = Smt.Simplify.stats () in
     let hist = solver_hist (Obs.Sink.metrics_samples sink) in
     let pct q = Option.bind hist (fun v -> Obs.Metrics.percentile v q) in
-    Smt.Simplify.set_memo true;
     {
       sl_cfg = cfg;
       sl_r = r;
@@ -1020,7 +1015,6 @@ let bench_solver () =
     ss.Smt.Solver.trivial + ss.Smt.Solver.range_hits + ss.Smt.Solver.cache_hits
     + ss.Smt.Solver.cex_hits + ss.Smt.Solver.sat_calls
   in
-  let totals = ref [] in
   let fop = function Some x -> Printf.sprintf "%.0f" x | None -> "n/a" in
   Printf.printf "%-12s %-12s %7s %6s %9s %8s %8s %8s %8s %8s %10s\n" "scenario" "leg" "paths"
     "tests" "instrs" "queries" "satcall" "rewrite" "p50ns" "p99ns" "ns/query";
@@ -1046,25 +1040,20 @@ let bench_solver () =
             fail "%s/%s: solver_query spans %d <> queries %d" name leg l.sl_spans
               l.sl_ss.Smt.Solver.queries
         in
-        let base = run_leg ~optimized:false ~incremental:false program in
-        let opt = run_leg ~optimized:true ~incremental:false program in
-        let inc = run_leg ~optimized:true ~incremental:true program in
-        report "baseline" base;
+        let opt = run_leg ~incremental:false program in
+        let inc = run_leg ~incremental:true program in
         report "optimized" opt;
         report "incremental" inc;
-        (* identical results on every leg: same paths, tests, errors *)
-        let same what f (a : solver_leg) (b : solver_leg) lb =
-          if f a <> f b then fail "%s: %s differ on %s (%d vs %d)" name what lb (f a) (f b)
+        (* the from-scratch leg is the oracle: the incremental leg must
+           reach the same paths, tests, errors and instructions *)
+        let same what f =
+          if f opt <> f inc then
+            fail "%s: %s differ (optimized %d, incremental %d)" name what (f opt) (f inc)
         in
-        List.iter
-          (fun (l, lb) ->
-            same "paths" (fun l -> l.sl_r.ED.paths_explored) base l lb;
-            same "test counts" (fun l -> List.length l.sl_r.ED.tests) base l lb;
-            same "error counts" (fun l -> l.sl_r.ED.errors) base l lb)
-          [ (opt, "optimized"); (inc, "incremental") ];
-        if opt.sl_rw.Smt.Simplify.rewrites >= base.sl_rw.Smt.Simplify.rewrites then
-          fail "%s: optimized leg must do strictly fewer rewrites (%d vs %d)" name
-            opt.sl_rw.Smt.Simplify.rewrites base.sl_rw.Smt.Simplify.rewrites;
+        same "paths" (fun l -> l.sl_r.ED.paths_explored);
+        same "test counts" (fun l -> List.length l.sl_r.ED.tests);
+        same "error counts" (fun l -> l.sl_r.ED.errors);
+        same "instructions" (fun l -> l.sl_r.ED.instructions);
         (* the incremental leg must actually reuse clause groups and win
            on raw per-query latency *)
         if inc.sl_inc.Smt.Solver.group_hits = 0 && inc.sl_ss.Smt.Solver.sat_calls > 1 then
@@ -1075,18 +1064,11 @@ let bench_solver () =
         if name = "memcached2" && inc.sl_nsq > 0.0 && opt.sl_nsq /. inc.sl_nsq < 1.5 then
           fail "memcached2: incremental speedup %.2fx below the 1.5x target"
             (opt.sl_nsq /. inc.sl_nsq);
-        totals := (base.sl_rw.Smt.Simplify.rewrites, opt.sl_rw.Smt.Simplify.rewrites) :: !totals;
-        (name, base, opt, inc))
+        (name, opt, inc))
       scenarios
   in
-  let rw_b = List.fold_left (fun a (b, _) -> a + b) 0 !totals in
-  let rw_o = List.fold_left (fun a (_, o) -> a + o) 0 !totals in
-  let ratio = if rw_o = 0 then infinity else float_of_int rw_b /. float_of_int rw_o in
-  Printf.printf "total rewrites: baseline %d, optimized %d (%.1fx fewer)\n" rw_b rw_o ratio;
-  if ratio < 2.0 then
-    fail "aggregate rewrite reduction %.2fx below the 2x target" ratio;
   List.iter
-    (fun (name, _, (opt : solver_leg), (inc : solver_leg)) ->
+    (fun (name, (opt : solver_leg), (inc : solver_leg)) ->
       if inc.sl_nsq > 0.0 then begin
         Printf.printf
           "%s: incremental %.2fx vs optimized; %d group hits / %d misses, %d retirements\n" name
@@ -1133,13 +1115,12 @@ let bench_solver () =
       inc_part
   in
   List.iteri
-    (fun i (name, base, opt, inc) ->
-      Printf.fprintf oc "%s\n  { \"name\": %S, \"baseline\": %s, \"optimized\": %s, \"incremental\": %s }"
+    (fun i (name, opt, inc) ->
+      Printf.fprintf oc "%s\n  { \"name\": %S, \"optimized\": %s, \"incremental\": %s }"
         (if i = 0 then "" else ",")
-        name (leg base) (leg opt) (leg inc))
+        name (leg opt) (leg inc))
     rows;
-  Printf.fprintf oc " ],\n  \"total_rewrites_baseline\": %d, \"total_rewrites_optimized\": %d, \"rewrite_reduction\": %.2f,\n  \"ok\": %b }\n"
-    rw_b rw_o ratio (!failures = []);
+  Printf.fprintf oc " ],\n  \"ok\": %b }\n" (!failures = []);
   close_out oc;
   Printf.printf "wrote BENCH_solver.json\n";
   if !failures <> [] then begin

@@ -495,15 +495,20 @@ let run ?obs (cfg : 'env config) =
     (* budget preemption: once the cluster has retired the instruction
        budget, drain to a barrier and stop there with an export.  Only
        *useful* instructions count: replaying a resumed frontier is
-       restoration cost, and charging it to the budget would let a slice
-       whose replay bill exceeds the budget drain with zero progress —
-       a campaign restored behind a deep frontier would then spin
-       forever.  Counting useful work alone guarantees every slice
-       advances exploration, so chained slices terminate. *)
+       restoration cost, not progress.  Useful work alone is not progress
+       either: the export records each candidate at its last choice, so
+       instructions a candidate ran without forking or terminating are
+       redone after the resume.  On a wide frontier, a small budget spread
+       over many candidates can retire without any of them reaching its
+       next fork, and chained slices then spin forever.  So a slice may
+       drain only once some worker has advanced its frontier (an explored
+       fork or termination).  Every advance survives into the export and
+       shrinks the unexplored tree, so chained slices terminate. *)
     (match cfg.stop_after_instrs with
     | Some budget when not !draining ->
       let _, _, useful, _, _ = totals () in
-      if useful >= budget then draining := true
+      if useful >= budget && List.exists (fun w -> w.Worker.advances > 0) (alive_workers ())
+      then draining := true
     | Some _ | None -> ());
     if !draining && !inbox = [] && Transport.quiesced transport then stop := true;
     incr tick;

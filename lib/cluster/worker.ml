@@ -52,7 +52,6 @@ type 'env t = {
      when a fork produces the exact path; see DESIGN.md, "Failure
      semantics". *)
   rng : Random.State.t;
-  quantum : int; (* instructions to run a state before reselecting *)
   collect_tests : int;
   (* snapshot cache: recently seen states at fork points, so replays start
      from the deepest known ancestor instead of the root — the paper's
@@ -91,12 +90,18 @@ type 'env t = {
   mutable jobs_received : int;
   mutable banned_drops : int;
   mutable recovery_replay_instrs : int; (* replay cost of recovery jobs *)
+  mutable advances : int;
+  (* exploration steps that changed the frontier (a fork or a termination):
+     the only work a frontier export keeps, since each candidate is
+     exported at its last choice *)
   prof : Obs.Profile.t option;
   mutable replay_t0 : int; (* wall-clock start of the replay in flight (profiling only) *)
 }
 
-let create ?(quantum = 50) ?(collect_tests = 0)
-    ?(snap_limit = 512) ?prof ~id ~cfg ~make_root ~seed () =
+(* Instructions a selected state runs before the worker reselects. *)
+let quantum = 50
+
+let create ?(collect_tests = 0) ?(snap_limit = 512) ?prof ~id ~cfg ~make_root ~seed () =
   let w =
     {
       id;
@@ -106,7 +111,6 @@ let create ?(quantum = 50) ?(collect_tests = 0)
       fence = Trie.create ();
       banned = Trie.create ();
       rng = Random.State.make [| seed; id |];
-      quantum;
       collect_tests;
       snapshots = Hashtbl.create 256;
       snap_queue = Queue.create ();
@@ -128,6 +132,7 @@ let create ?(quantum = 50) ?(collect_tests = 0)
       jobs_received = 0;
       banned_drops = 0;
       recovery_replay_instrs = 0;
+      advances = 0;
       prof;
       replay_t0 = 0;
     }
@@ -328,6 +333,7 @@ let replay_step w ~target ~remaining ~rstate ~recov =
       (* we are already at the target but the step forked: this means the
          target node was the fork point itself; materialize all successors
          as our own candidates (they are our subtree) *)
+      w.advances <- w.advances + 1;
       add_running w (filter_banned w running);
       List.iter (record_finished w) finished;
       w.replays_done <- w.replays_done + 1;
@@ -415,7 +421,7 @@ let execute w ~budget =
           (* run this state for a quantum *)
           let continue = ref (Some st) in
           let q = ref 0 in
-          while !continue <> None && !q < w.quantum && !used < budget do
+          while !continue <> None && !q < quantum && !used < budget do
             match !continue with
             | None -> ()
             | Some st ->
@@ -424,8 +430,13 @@ let execute w ~budget =
               let { Executor.running; finished } = Executor.step w.cfg st in
               List.iter (record_finished w) finished;
               (match running with
-              | [ one ] -> continue := Some one
+              | [ one ] ->
+                (* a one-sided fork still records a choice *)
+                if finished <> [] || one.State.depth > st.State.depth then
+                  w.advances <- w.advances + 1;
+                continue := Some one
               | _ ->
+                w.advances <- w.advances + 1;
                 add_running w (filter_banned w running);
                 continue := None)
           done;

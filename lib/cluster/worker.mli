@@ -35,7 +35,6 @@ type 'env t = {
           recovery; fork products matching one are dropped (and the
           entry consumed) *)
   rng : Random.State.t;
-  quantum : int;
   collect_tests : int;
   snapshots : (string, 'env Engine.State.t) Hashtbl.t;
   snap_queue : string Queue.t;
@@ -68,18 +67,20 @@ type 'env t = {
   mutable banned_drops : int;
   mutable recovery_replay_instrs : int;
       (** replay instructions spent reconstructing recovery jobs *)
+  mutable advances : int;
+      (** explored forks and terminations: the frontier changes that a
+          frontier export keeps (each candidate is exported at its last
+          choice, so work since then is redone after a resume) *)
   prof : Obs.Profile.t option;
   mutable replay_t0 : int;
       (** wall-clock start of the replay in flight (profiling only) *)
 }
 
-(** [quantum] is how many instructions a selected state runs before
-    reselection; [snap_limit] bounds the replay snapshot cache (0
-    disables it, forcing replay from the root); [prof] records each
-    from-path replay as a wall-clock [job_replay] span (snapshot-exact
-    materializations are skipped — there is no replay to time). *)
+(** [snap_limit] bounds the replay snapshot cache (0 disables it, forcing
+    replay from the root); [prof] records each from-path replay as a
+    wall-clock [job_replay] span (snapshot-exact materializations are
+    skipped — there is no replay to time). *)
 val create :
-  ?quantum:int ->
   ?collect_tests:int ->
   ?snap_limit:int ->
   ?prof:Obs.Profile.t ->

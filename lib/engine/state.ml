@@ -53,11 +53,10 @@ type 'env t = {
   next_pid : int;
   next_wlist : int;
   next_sym : int;
-  pc : Smt.Expr.t list; (* path condition, newest first *)
   npc : Smt.Expr.t list;
-  (* normalized path condition, newest first: each member simplified,
-     trivially-true members dropped — maintained incrementally by
-     [add_constraint] so branch queries never re-simplify the whole pc *)
+  (* path condition, newest first, normalized as it grows: each member
+     simplified, trivially-true members dropped — so branch queries never
+     re-simplify the whole pc *)
   boxes : Smt.Range.boxes option;
   (* interval facts learned from [npc], also maintained incrementally
      (learning is a commutative meet, so one-at-a-time = from-scratch);
@@ -82,7 +81,6 @@ type 'env t = {
 }
 
 let path t = List.rev t.path
-let path_condition t = t.pc
 
 let weight t = 1.0 /. float_of_int (1 + t.steps - t.last_new_cover)
 
@@ -220,7 +218,7 @@ let add_constraint t e =
     if Smt.Expr.is_true e then t.boxes
     else match t.boxes with None -> None | Some bx -> Smt.Range.learn_boxes bx e
   in
-  { t with pc = e :: t.pc; npc; boxes; subst }
+  { t with npc; boxes; subst }
 
 let push_choice t c = { t with path = c :: t.path; depth = t.depth + 1 }
 
@@ -267,7 +265,6 @@ let init program ~env ~args =
     next_pid = 1;
     next_wlist = 1;
     next_sym = 1;
-    pc = [];
     npc = [];
     boxes = Some Smt.Range.empty_boxes;
     subst = [];

@@ -45,11 +45,10 @@ type 'env t = {
   next_pid : int;
   next_wlist : int;
   next_sym : int;
-  pc : Smt.Expr.t list;  (** path condition, newest first *)
   npc : Smt.Expr.t list;
-      (** normalized pc (members simplified, trivial truths dropped),
-          maintained incrementally by {!add_constraint}; feeds
-          {!Smt.Solver.fork_feasible}/{!Smt.Solver.branch_feasible_norm} *)
+      (** path condition, newest first, normalized (members simplified,
+          trivial truths dropped) incrementally by {!add_constraint};
+          feeds {!Smt.Solver.fork_feasible}/{!Smt.Solver.branch_feasible_norm} *)
   boxes : Smt.Range.boxes option;
       (** interval facts of [npc], maintained by the same increments;
           [None] means "recompute on demand" *)
@@ -71,8 +70,6 @@ type 'env t = {
 
 (** Root-first path of this state (its node address in the tree). *)
 val path : 'env t -> Path.t
-
-val path_condition : 'env t -> Smt.Expr.t list
 
 (** Coverage-optimized selection weight [1 / (1 + steps - last_new_cover)]:
     highest for states that covered a new line recently.  It cannot

@@ -7,7 +7,7 @@ type t = {
   inputs : (string * string) list; (* input name -> concrete bytes *)
   path : Path.t;
   steps : int;
-  pc_size : int; (* number of path constraints *)
+  pc_size : int; (* number of non-trivial path constraints *)
 }
 
 let bytes_of_model model ids =
@@ -21,7 +21,7 @@ let bytes_of_model model ids =
    Returns [None] only if the path condition is unsatisfiable, which
    would indicate an engine bug (every explored path is feasible). *)
 let of_state solver (st : 'env State.t) termination =
-  match Smt.Solver.get_model solver st.State.pc with
+  match Smt.Solver.get_model solver st.State.npc with
   | Smt.Solver.Unsat -> None
   | Smt.Solver.Sat model ->
     Some
@@ -30,7 +30,7 @@ let of_state solver (st : 'env State.t) termination =
         inputs = List.map (fun (name, ids) -> (name, bytes_of_model model ids)) st.State.sym_inputs;
         path = State.path st;
         steps = st.State.steps;
-        pc_size = List.length st.State.pc;
+        pc_size = List.length st.State.npc;
       }
 
 let pp_bytes fmt s =

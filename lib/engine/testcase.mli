@@ -7,7 +7,7 @@ type t = {
   inputs : (string * string) list;  (** input name -> concrete bytes *)
   path : Path.t;
   steps : int;
-  pc_size : int;  (** number of path constraints *)
+  pc_size : int;  (** number of non-trivial path constraints *)
 }
 
 (** Solve the state's path condition and materialize each named input.

@@ -529,8 +529,9 @@ let fork_feasible t ~npc ?boxes cond =
    independence slicing seeded by the symbols of [cond]; this is sound for
    satisfiability because [pc] alone is satisfiable by invariant (every
    state's path condition is feasible).  Normalizes the whole [pc] on
-   every call; kept as the entry point for raw (un-normalized) pcs and as
-   the baseline for the incremental-pc benchmark. *)
+   every call: the raw-pc reference that the property tests hold
+   {!fork_feasible} and {!branch_feasible_norm} to.  The executor queries
+   through those instead. *)
 let branch_feasible t ~pc cond =
   t.q_t0 <- Obs.Profile.start t.prof;
   t.stats.queries <- t.stats.queries + 1;

@@ -85,9 +85,9 @@ val check : t -> Expr.t list -> result
 (** [branch_feasible t ~pc cond]: is [pc /\ cond] satisfiable?  Requires
     the invariant that [pc] alone is satisfiable (true for every live
     execution state); under it, independence slicing seeded by [cond] is
-    sound.  Re-normalizes the whole [pc] per call — prefer
-    {!branch_feasible_norm}/{!fork_feasible} when a normalized pc is
-    already at hand (e.g. [State.npc]). *)
+    sound.  Re-normalizes the whole [pc] per call: it is the raw-pc
+    reference for {!branch_feasible_norm}/{!fork_feasible}, which answer
+    the same query over an already normalized pc (e.g. [State.npc]). *)
 val branch_feasible : t -> pc:Expr.t list -> Expr.t -> bool
 
 (** Same query over a pre-normalized path condition [npc] (each member

@@ -488,6 +488,49 @@ let test_checkpoint_kill_restore_differential () =
     c.Service.Campaign.errors;
   Sys.remove state
 
+(* --- slice progress -------------------------------------------------------- *)
+
+(* A slice exports each candidate at its last choice, so useful work on a
+   candidate that neither forks nor terminates before the drain is
+   redone by the next slice.  With 1000-instruction slices and this seed
+   the frontier grows wide enough that a budget spread over it reaches
+   no fork: a slice that drained on the budget alone exported the
+   frontier it started from, and the campaign never finished.  The slice
+   cap turns that livelock into a failure instead of a hang. *)
+let test_small_slices_finish () =
+  let state = tmp_file "_state.json" in
+  let cfg =
+    {
+      (Service.Daemon.default_config ~state_file:state) with
+      Service.Daemon.slice_instrs = 1000;
+      checkpoint_every = 0;
+    }
+  in
+  let d = Result.get_ok (Service.Daemon.create cfg) in
+  Service.Daemon.submit d
+    {
+      Service.Campaign.sp_name = "p";
+      sp_target = "printf";
+      sp_variant = Some "sym-4";
+      sp_runtime = Service.Campaign.Sim;
+      sp_workers = 4;
+      sp_speed = 30;
+      sp_max_steps = 6000;
+      sp_seed = 34;
+      sp_slice_instrs = None;
+    };
+  let max_slices = 400 in
+  let rec go n =
+    if n < max_slices then
+      match Service.Daemon.step d with `Sliced _ -> go (n + 1) | `Idle | `Stopped -> ()
+  in
+  go 0;
+  let c = Option.get (Service.Daemon.find d "p") in
+  Alcotest.(check bool) "done" true (c.Service.Campaign.status = Service.Campaign.Done);
+  Alcotest.(check int) "paths" 620 c.Service.Campaign.paths;
+  Alcotest.(check int) "errors" 0 c.Service.Campaign.errors;
+  if Sys.file_exists state then Sys.remove state
+
 (* --- multi-tenant fairness ---------------------------------------------- *)
 
 let test_multi_tenant_progress () =
@@ -716,6 +759,7 @@ let () =
         [
           Alcotest.test_case "checkpoint/kill/restore differential" `Quick
             test_checkpoint_kill_restore_differential;
+          Alcotest.test_case "small slices finish" `Quick test_small_slices_finish;
         ] );
       ("fairness", [ Alcotest.test_case "multi-tenant progress" `Quick test_multi_tenant_progress ]);
       ( "telemetry",

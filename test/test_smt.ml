@@ -542,6 +542,49 @@ let prop_fork_matches_branch =
       in
       fused = plain)
 
+(* The executor answers branch queries from a state's incrementally
+   maintained npc, interval boxes and substitution; they must answer
+   exactly what the raw list of added constraints does.  Each step adds
+   the feasible polarity of a random condition, so the pc stays
+   satisfiable as on a real path.  Besides arbitrary conditions, steps
+   bound a symbol by a constant (what the interval boxes learn) or pin
+   one (what the substitution learns). *)
+let prop_state_pc_matches_raw =
+  let program =
+    Lang.Builder.(compile (cunit ~entry:"main" [ fn "main" [] (Some u32) [ halt (n 0) ] ]))
+  in
+  let gen_cond =
+    QCheck2.Gen.(
+      let* s = oneofl [ sym_a; sym_b ] in
+      let* c = map i8 (int_bound 255) in
+      frequency
+        [
+          (2, gen_bool_expr);
+          (1, return (E.eq s c));
+          (2, oneofl [ E.ult s c; E.ule s c; E.ult c s; E.ule c s ]);
+        ])
+  in
+  QCheck2.Test.make ~count:150 ~name:"State.npc/boxes answer like the raw pc"
+    QCheck2.Gen.(list_size (int_range 1 6) (pair gen_cond gen_cond))
+    (fun steps ->
+      let fork = Smt.Solver.create () and raw = Smt.Solver.create () in
+      let rec go (st : unit Engine.State.t) pc = function
+        | [] -> true
+        | (c, q) :: rest ->
+          let fused =
+            Smt.Solver.fork_feasible fork ~npc:st.Engine.State.npc ?boxes:st.Engine.State.boxes q
+          in
+          let plain =
+            ( Smt.Solver.branch_feasible raw ~pc q,
+              Smt.Solver.branch_feasible raw ~pc (E.not_ q) )
+          in
+          fused = plain
+          &&
+          let c = if Smt.Solver.branch_feasible raw ~pc c then c else E.not_ c in
+          go (Engine.State.add_constraint st c) (c :: pc) rest
+      in
+      go (Engine.State.init program ~env:() ~args:[]) [] steps)
+
 (* --- interval analysis --------------------------------------------------------- *)
 
 (* soundness: for any expression and any concrete assignment inside the
@@ -639,6 +682,7 @@ let () =
               prop_solver_matches_bruteforce;
               prop_stats_reconcile;
               prop_fork_matches_branch;
+              prop_state_pc_matches_raw;
               prop_incremental_matches_fresh;
             ] );
     ]
