@@ -13,6 +13,7 @@
 
 module C = Core.Cloud9
 module CD = Cluster.Driver
+module O = Cluster.Outcome
 module ED = Engine.Driver
 
 let vmin = 600 (* ticks per virtual minute *)
@@ -113,14 +114,14 @@ let fig7 () =
   List.iter
     (fun nworkers ->
       let r = cluster ~nworkers ~speed:60 program in
-      let t = ticks_to_minutes r.CD.ticks in
+      let t = ticks_to_minutes r.O.ticks in
       if nworkers = 1 then base := t;
       (* degenerate runs (goal met in ~0 ticks) would print inf/nan *)
       let speedup =
         if !base > 1e-9 && t > 1e-9 then Printf.sprintf "%5.1fx" (!base /. t) else "  n/a"
       in
       Printf.printf "%8d %14.2f %10d %12d %12d   (speedup %s)\n%!" nworkers t
-        r.CD.total_paths r.CD.useful_instrs r.CD.replay_instrs speedup)
+        r.O.total_paths r.O.useful_instrs r.O.replay_instrs speedup)
     [ 1; 2; 4; 6; 12; 24; 48 ]
 
 (* ====================================================================== *)
@@ -149,14 +150,14 @@ let fig8 () =
       Printf.printf "%8d" nworkers;
       List.iter
         (fun level ->
-          let crossing = List.find_opt (fun b -> b.CD.coverage >= level) r.CD.buckets in
+          let crossing = List.find_opt (fun b -> b.O.coverage >= level) r.O.buckets in
           match crossing with
-          | Some b -> Printf.printf "%10.2f" (ticks_to_minutes (b.CD.b_start_tick + 30))
+          | Some b -> Printf.printf "%10.2f" (ticks_to_minutes (b.O.b_start_tick + 30))
           | None ->
             (* the run stops the moment the goal is met, so the crossing
                may fall inside the final, unrecorded bucket *)
-            if r.CD.final_coverage >= level then
-              Printf.printf "%10.2f" (ticks_to_minutes r.CD.ticks)
+            if r.O.final_coverage >= level then
+              Printf.printf "%10.2f" (ticks_to_minutes r.O.ticks)
             else Printf.printf "%10s" "-")
         levels;
       Printf.printf "\n%!")
@@ -182,9 +183,9 @@ let fig9 () =
       let r = cluster ~nworkers ~speed:10 ~goal:CD.Time_limit ~max_ticks:(10 * vmin) program in
       let at_minute m =
         (* cumulative useful instructions recorded at each 1-vmin bucket *)
-        match List.nth_opt r.CD.buckets (m - 1) with
-        | Some b -> b.CD.useful
-        | None -> r.CD.useful_instrs
+        match List.nth_opt r.O.buckets (m - 1) with
+        | Some b -> b.O.useful
+        | None -> r.O.useful_instrs
       in
       Printf.printf "%8d" nworkers;
       List.iter (fun m -> Printf.printf "%12d" (at_minute m)) minutes;
@@ -226,9 +227,9 @@ let fig10 () =
               ~max_ticks:(60 * umin) program
           in
           let at_minute m =
-            match List.nth_opt r.CD.buckets (m - 1) with
-            | Some b -> b.CD.useful
-            | None -> r.CD.useful_instrs
+            match List.nth_opt r.O.buckets (m - 1) with
+            | Some b -> b.O.useful
+            | None -> r.O.useful_instrs
           in
           Printf.printf "%8d" nworkers;
           List.iter (fun m -> Printf.printf "%12d" (at_minute m)) minutes;
@@ -255,7 +256,7 @@ let fig11 () =
             cluster ~nworkers ~speed:10 ~goal:CD.Time_limit ~max_ticks:budget ~bucket:budget
               program
           in
-          r.CD.final_coverage
+          r.O.final_coverage
         in
         let base = run 1 in
         let multi = run 12 in
@@ -299,20 +300,7 @@ let t5 () =
     in
     float_of_int (List.length covered) /. float_of_int (max 1 (List.length coverable))
   in
-  let union vecs =
-    match vecs with
-    | [] -> Bytes.create 0
-    | first :: _ ->
-      let acc = Bytes.make (Bytes.length first) '\000' in
-      List.iter
-        (fun v ->
-          for i = 0 to min (Bytes.length acc) (Bytes.length v) - 1 do
-            Bytes.set acc i
-              (Char.chr (Char.code (Bytes.get acc i) lor Char.code (Bytes.get v i)))
-          done)
-        vecs;
-      acc
-  in
+  let union = Engine.Coverage.union in
   let run_method programs =
     let results =
       List.map
@@ -375,14 +363,14 @@ let fig12 () =
   List.iter
     (fun b ->
       let pct =
-        if b.CD.candidates = 0 then 0.0
-        else 100.0 *. float_of_int b.CD.transferred /. float_of_int b.CD.candidates
+        if b.O.candidates = 0 then 0.0
+        else 100.0 *. float_of_int b.O.transferred /. float_of_int b.O.candidates
       in
-      Printf.printf "%14.1f %12d %12d %9.1f%%\n" (ticks_to_minutes (b.CD.b_start_tick + 100))
-        b.CD.transferred b.CD.candidates pct)
-    r.CD.buckets;
-  Printf.printf "total: %d states transferred across %d buckets\n" r.CD.transfers
-    (List.length r.CD.buckets)
+      Printf.printf "%14.1f %12d %12d %9.1f%%\n" (ticks_to_minutes (b.O.b_start_tick + 100))
+        b.O.transferred b.O.candidates pct)
+    r.O.buckets;
+  Printf.printf "total: %d states transferred across %d buckets\n" r.O.transfers
+    (List.length r.O.buckets)
 
 (* ====================================================================== *)
 (* Figure 13: effect of disabling load balancing mid-run                   *)
@@ -408,7 +396,7 @@ let fig13 () =
           cluster ~nworkers:48 ~speed:2 ?lb_disable_at ~goal:CD.Time_limit
             ~max_ticks:(total_minutes * vmin) program
         in
-        (name, List.map (fun b -> b.CD.useful) r.CD.buckets))
+        (name, List.map (fun b -> b.O.useful) r.O.buckets))
       configs
   in
   let continuous_total =
@@ -509,7 +497,7 @@ let ablation_allocator () =
              ];
          ])
   in
-  let reference = (cluster ~nworkers:1 ~speed:100 program).CD.total_paths in
+  let reference = (cluster ~nworkers:1 ~speed:100 program).O.total_paths in
   let run name global_alloc =
     (* snapshots off: every replay re-executes, exercising the allocator *)
     let mk ga id =
@@ -541,8 +529,8 @@ let ablation_allocator () =
       }
     in
     let r = CD.run cfg in
-    Printf.printf "%-22s paths=%4d (reference %d)  broken replays=%d\n" name r.CD.total_paths
-      reference r.CD.broken_replays
+    Printf.printf "%-22s paths=%4d (reference %d)  broken replays=%d\n" name r.O.total_paths
+      reference r.O.broken_replays
   in
   run "per-state allocator" None;
   run "global allocator" (Some (Some (ref 0x1000)))
@@ -600,17 +588,17 @@ let ablation_static () =
      leaves workers idle (imbalanced per-worker useful work).";
   let program = Lazy.force mc2_small in
   let spread r =
-    let vals = List.map snd r.CD.per_worker_useful in
+    let vals = List.map snd r.O.per_worker_useful in
     (List.fold_left min max_int vals, List.fold_left max 0 vals)
   in
   let dyn = cluster ~nworkers:8 ~speed:50 program in
   let sta = cluster ~nworkers:8 ~speed:50 ~lb_disable_at:12 program in
   let dmin, dmax = spread dyn and smin, smax = spread sta in
   Printf.printf "%-10s %12s %14s %22s\n" "mode" "time [vmin]" "paths" "per-worker useful";
-  Printf.printf "%-10s %12.2f %14d %10d .. %d\n" "dynamic" (ticks_to_minutes dyn.CD.ticks)
-    dyn.CD.total_paths dmin dmax;
-  Printf.printf "%-10s %12.2f %14d %10d .. %d\n" "static" (ticks_to_minutes sta.CD.ticks)
-    sta.CD.total_paths smin smax
+  Printf.printf "%-10s %12.2f %14d %10d .. %d\n" "dynamic" (ticks_to_minutes dyn.O.ticks)
+    dyn.O.total_paths dmin dmax;
+  Printf.printf "%-10s %12.2f %14d %10d .. %d\n" "static" (ticks_to_minutes sta.O.ticks)
+    sta.O.total_paths smin smax
 
 let ablation_hetero () =
   section "Ablation 6: heterogeneous workers"
@@ -635,9 +623,9 @@ let ablation_hetero () =
       }
     in
     let r = CD.run cfg in
-    Printf.printf "%-14s time=%6.2f vmin  paths=%d\n%!" name (ticks_to_minutes r.CD.ticks)
-      r.CD.total_paths;
-    r.CD.ticks
+    Printf.printf "%-14s time=%6.2f vmin  paths=%d\n%!" name (ticks_to_minutes r.O.ticks)
+      r.O.total_paths;
+    r.O.ticks
   in
   let uni = run "uniform" (fun _ -> 50) in
   let het = run "heterogeneous" (fun i -> speeds.(i mod 8)) in
@@ -667,8 +655,8 @@ let ablation_join () =
     in
     let r = CD.run cfg in
     Printf.printf "%-14s time=%6.2f vmin  paths=%d  transfers=%d\n%!" name
-      (ticks_to_minutes r.CD.ticks) r.CD.total_paths r.CD.transfers;
-    r.CD.ticks
+      (ticks_to_minutes r.O.ticks) r.O.total_paths r.O.transfers;
+    r.O.ticks
   in
   let all = run "all at start" (fun _ -> 0) in
   let stag = run "staggered" (fun i -> i * 30) in
@@ -689,8 +677,8 @@ let bench_faults () =
     Cluster.Faultplan.create
       ~crashes:
         [
-          Cluster.Faultplan.crash 2 ~at_tick:(free.CD.ticks / 3);
-          Cluster.Faultplan.crash 5 ~at_tick:(free.CD.ticks / 2) ~rejoin_after:60;
+          Cluster.Faultplan.crash 2 ~at_tick:(free.O.ticks / 3);
+          Cluster.Faultplan.crash 5 ~at_tick:(free.O.ticks / 2) ~rejoin_after:60;
         ]
       ~drop_prob:0.05 ~seed:7 ()
   in
@@ -700,16 +688,16 @@ let bench_faults () =
     Printf.printf
       "%-12s time=%6.2f vmin  paths=%5d errors=%3d crashes=%d recovered=%4d \
        retransmits=%3d recovery-replay=%d\n%!"
-      name (ticks_to_minutes r.CD.ticks) r.CD.total_paths r.CD.total_errors r.CD.crashes
-      r.CD.recovered_jobs r.CD.retransmits r.CD.recovery_replay_instrs
+      name (ticks_to_minutes r.O.ticks) r.O.total_paths r.O.total_errors r.O.crashes
+      r.O.recovered_jobs r.O.retransmits r.O.recovery_replay_instrs
   in
   row "fault-free" free;
   row "faulty" faulty;
   let overhead =
-    100.0 *. (float_of_int faulty.CD.ticks /. float_of_int (max 1 free.CD.ticks) -. 1.0)
+    100.0 *. (float_of_int faulty.O.ticks /. float_of_int (max 1 free.O.ticks) -. 1.0)
   in
   let exact =
-    faulty.CD.total_paths = free.CD.total_paths && faulty.CD.total_errors = free.CD.total_errors
+    faulty.O.total_paths = free.O.total_paths && faulty.O.total_errors = free.O.total_errors
   in
   Printf.printf "recovery time overhead: %.0f%%  result exactness: %s\n" overhead
     (if exact then "EXACT" else "MISMATCH");
@@ -726,9 +714,9 @@ let bench_faults () =
     \  \"tick_overhead_pct\": %.1f,\n\
     \  \"exact\": %b\n\
      }\n"
-    free.CD.ticks free.CD.total_paths free.CD.total_errors faulty.CD.ticks
-    faulty.CD.total_paths faulty.CD.total_errors faulty.CD.crashes faulty.CD.recovered_jobs
-    faulty.CD.retransmits faulty.CD.recovery_replay_instrs overhead exact;
+    free.O.ticks free.O.total_paths free.O.total_errors faulty.O.ticks
+    faulty.O.total_paths faulty.O.total_errors faulty.O.crashes faulty.O.recovered_jobs
+    faulty.O.retransmits faulty.O.recovery_replay_instrs overhead exact;
   close_out oc;
   Printf.printf "wrote BENCH_faults.json\n";
   write_obs_artifacts obs ~trace:"BENCH_faults_trace.json"
@@ -765,9 +753,9 @@ let smoke () =
   let tr = Obs.Sink.trace obs in
   Printf.printf
     "paths=%d crashes=%d  useful %d/%d  replay %d/%d  trace events=%d (%d dropped)\n"
-    r.CD.total_paths r.CD.crashes useful r.CD.useful_instrs replay r.CD.replay_instrs
+    r.O.total_paths r.O.crashes useful r.O.useful_instrs replay r.O.replay_instrs
     (Obs.Trace.appended tr) (Obs.Trace.dropped tr);
-  if useful <> r.CD.useful_instrs || replay <> r.CD.replay_instrs then begin
+  if useful <> r.O.useful_instrs || replay <> r.O.replay_instrs then begin
     Printf.printf "RECONCILIATION MISMATCH\n";
     exit 1
   end;
@@ -790,7 +778,7 @@ let obs_overhead () =
   ignore (run None);
   let t_off, r_off = run None in
   let t_on, r_on = run (Some (Obs.Sink.create ())) in
-  assert (r_off.CD.total_paths = r_on.CD.total_paths);
+  assert (r_off.O.total_paths = r_on.O.total_paths);
   if t_off > 1e-9 then
     Printf.printf "disabled: %6.2fs   enabled: %6.2fs   overhead %+.1f%%\n" t_off t_on
       (100.0 *. ((t_on /. t_off) -. 1.0))
@@ -932,7 +920,8 @@ let bench_solver () =
      instance with cross-fork clause reuse).  Paths, test cases, errors and\n\
      instructions must be identical on both legs; incremental must reuse\n\
      clause groups and beat optimized on ns/query everywhere (>= 1.5x on\n\
-     memcached2).  Writes BENCH_solver.json.";
+     memcached2), each leg timed 3 times in alternating order and judged\n\
+     on its median run.  Writes BENCH_solver.json.";
   let scenarios =
     [
       ("printf5", Lazy.force printf5);
@@ -1009,6 +998,25 @@ let bench_solver () =
          else elapsed *. 1e9 /. float_of_int ss.Smt.Solver.queries);
     }
   in
+  (* One timed run per leg swings by up to 2x on a shared host, so each
+     leg runs [reps] times, alternating which leg goes first, and the
+     gates judge its median run by ns/query. *)
+  let reps = 3 in
+  let median_legs program =
+    let runs =
+      List.init reps (fun i ->
+          if i mod 2 = 0 then
+            let opt = run_leg ~incremental:false program in
+            (opt, run_leg ~incremental:true program)
+          else
+            let inc = run_leg ~incremental:true program in
+            (run_leg ~incremental:false program, inc))
+    in
+    let median legs =
+      List.nth (List.sort (fun a b -> compare a.sl_nsq b.sl_nsq) legs) (reps / 2)
+    in
+    (median (List.map fst runs), median (List.map snd runs))
+  in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let tier_sum (ss : Smt.Solver.stats) =
@@ -1040,8 +1048,7 @@ let bench_solver () =
             fail "%s/%s: solver_query spans %d <> queries %d" name leg l.sl_spans
               l.sl_ss.Smt.Solver.queries
         in
-        let opt = run_leg ~incremental:false program in
-        let inc = run_leg ~incremental:true program in
+        let opt, inc = median_legs program in
         report "optimized" opt;
         report "incremental" inc;
         (* the from-scratch leg is the oracle: the incremental leg must
@@ -1276,8 +1283,8 @@ let bench_scaling ?(quick = false) () =
       (fun (name, program) ->
         (* the simulated driver is the deterministic reference *)
         let sim = cluster ~nworkers:4 ~speed:200 program in
-        Printf.printf "%s: reference %d paths (%d errors)\n%!" name sim.CD.total_paths
-          sim.CD.total_errors;
+        Printf.printf "%s: reference %d paths (%d errors)\n%!" name sim.O.total_paths
+          sim.O.total_errors;
         Printf.printf "%8s %10s %10s %8s %10s %10s\n" "domains" "time [s]" "paths" "errors"
           "transfers" "speedup";
         let base = ref 0.0 in
@@ -1303,33 +1310,33 @@ let bench_scaling ?(quick = false) () =
                  report it as skipped instead of fabricating a neutral 1.0 *)
               let speedup = if !base > 1e-9 && t > 1e-9 then Some (!base /. t) else None in
               Printf.printf "%8d %10.3f %10d %8d %10d %10s\n%!" ndomains t
-                r.Cluster.Parallel.total_paths r.Cluster.Parallel.total_errors
-                r.Cluster.Parallel.transfers
+                r.O.total_paths r.O.total_errors
+                r.O.transfers
                 (match speedup with
                 | Some s -> Printf.sprintf "%.2fx" s
                 | None -> "skipped");
-              if r.Cluster.Parallel.total_paths <> sim.CD.total_paths then
+              if r.O.total_paths <> sim.O.total_paths then
                 fail "%s @ %d domains: %d paths, simulated found %d" name ndomains
-                  r.Cluster.Parallel.total_paths sim.CD.total_paths;
-              if r.Cluster.Parallel.total_errors <> sim.CD.total_errors then
+                  r.O.total_paths sim.O.total_paths;
+              if r.O.total_errors <> sim.O.total_errors then
                 fail "%s @ %d domains: %d errors, simulated found %d" name ndomains
-                  r.Cluster.Parallel.total_errors sim.CD.total_errors;
+                  r.O.total_errors sim.O.total_errors;
               check_tiers (Printf.sprintf "%s @ %d domains" name ndomains)
-                r.Cluster.Parallel.solver_stats;
-              if r.Cluster.Parallel.jobs_sent <> r.Cluster.Parallel.jobs_received then
+                r.O.solver_stats;
+              if r.O.jobs_sent <> r.O.jobs_received then
                 fail "%s @ %d domains: %d jobs sent but %d received" name ndomains
-                  r.Cluster.Parallel.jobs_sent r.Cluster.Parallel.jobs_received;
+                  r.O.jobs_sent r.O.jobs_received;
               (* replay-overhead gate (wall-clock independent, so it holds
                  on any host): prefix handoff must keep job reconstruction
                  under 10% of useful work wherever stealing happens *)
               if
                 ndomains > 1
-                && r.Cluster.Parallel.useful_instrs > 0
-                && float_of_int r.Cluster.Parallel.replay_instrs
-                   > 0.10 *. float_of_int r.Cluster.Parallel.useful_instrs
+                && r.O.useful_instrs > 0
+                && float_of_int r.O.replay_instrs
+                   > 0.10 *. float_of_int r.O.useful_instrs
               then
                 fail "%s @ %d domains: replay %d instrs > 10%% of useful %d" name ndomains
-                  r.Cluster.Parallel.replay_instrs r.Cluster.Parallel.useful_instrs;
+                  r.O.replay_instrs r.O.useful_instrs;
               (* speedup gate: enforced only with real hardware parallelism;
                  an unmeasurable timing fails rather than fake-passing *)
               if speedup_gate && ndomains > 1 then begin
@@ -1359,7 +1366,7 @@ let bench_scaling ?(quick = false) () =
     (fun i (name, sim, runs) ->
       Printf.fprintf oc "%s\n  { \"name\": %S, \"simulated_paths\": %d, \"simulated_errors\": %d,\n"
         (if i = 0 then "" else ",")
-        name sim.CD.total_paths sim.CD.total_errors;
+        name sim.O.total_paths sim.O.total_errors;
       Printf.fprintf oc "    \"runs\": [";
       List.iteri
         (fun j (nd, t, speedup, (r : Cluster.Parallel.result)) ->
@@ -1372,9 +1379,9 @@ let bench_scaling ?(quick = false) () =
             nd t
             (match speedup with Some s -> Printf.sprintf "%.3f" s | None -> "null")
             (match speedup with Some _ -> "measured" | None -> "skipped_unmeasurable")
-            r.Cluster.Parallel.total_paths r.Cluster.Parallel.total_errors
-            r.Cluster.Parallel.transfers r.Cluster.Parallel.steals
-            r.Cluster.Parallel.useful_instrs r.Cluster.Parallel.replay_instrs)
+            r.O.total_paths r.O.total_errors
+            r.O.transfers r.O.steals
+            r.O.useful_instrs r.O.replay_instrs)
         runs;
       Printf.fprintf oc " ] }")
     results;
@@ -1409,7 +1416,7 @@ let bench_faults_parallel ?(quick = false) () =
   (* the deterministic virtual-time driver is the fault-free reference *)
   let sim = cluster ~nworkers:4 ~speed:200 program in
   Printf.printf "%s: fault-free simulated reference %d paths (%d errors)\n%!" wname
-    sim.CD.total_paths sim.CD.total_errors;
+    sim.O.total_paths sim.O.total_errors;
   let ndomains = 3 in
   let coverable = List.length (Cvm.Program.covered_lines program) in
   let run_faulty name plan ~min_crashes =
@@ -1422,7 +1429,6 @@ let bench_faults_parallel ?(quick = false) () =
       Cluster.Worker.create ~id:i ~cfg ~make_root ~seed:42 ()
     in
     let cfg = CP.default_config ~faults:plan ~ndomains ~make_worker () in
-    let cfg = { cfg with CP.heartbeat_ticks = 1_000; watchdog = 120.0 } in
     let t0 = Unix.gettimeofday () in
     let r = CP.run ~coverable_lines:coverable cfg in
     let t = Unix.gettimeofday () -. t0 in
@@ -1430,17 +1436,17 @@ let bench_faults_parallel ?(quick = false) () =
       "%-16s %6.2fs  paths=%5d errors=%3d crashes=%d recovered=%4d retransmits=%3d \
        recovery-replay=%d\n\
        %!"
-      name t r.CP.total_paths r.CP.total_errors r.CP.crashes r.CP.recovered_jobs
-      r.CP.retransmits r.CP.recovery_replay_instrs;
-    if r.CP.total_paths <> sim.CD.total_paths then
-      fail "%s: %d paths, the fault-free reference found %d" name r.CP.total_paths
-        sim.CD.total_paths;
-    if r.CP.total_errors <> sim.CD.total_errors then
-      fail "%s: %d errors, the fault-free reference found %d" name r.CP.total_errors
-        sim.CD.total_errors;
-    if r.CP.crashes < min_crashes then
+      name t r.O.total_paths r.O.total_errors r.O.crashes r.O.recovered_jobs
+      r.O.retransmits r.O.recovery_replay_instrs;
+    if r.O.total_paths <> sim.O.total_paths then
+      fail "%s: %d paths, the fault-free reference found %d" name r.O.total_paths
+        sim.O.total_paths;
+    if r.O.total_errors <> sim.O.total_errors then
+      fail "%s: %d errors, the fault-free reference found %d" name r.O.total_errors
+        sim.O.total_errors;
+    if r.O.crashes < min_crashes then
       fail "%s: only %d crash(es) happened, the plan scheduled %d (run over before the tick?)"
-        name r.CP.crashes min_crashes;
+        name r.O.crashes min_crashes;
     (name, t, r)
   in
   (* coordinator ticks are ~1 ms: crash early enough to always fire, late
@@ -1467,7 +1473,7 @@ let bench_faults_parallel ?(quick = false) () =
     "{ \"bench\": \"faults-parallel\", \"quick\": %b, \"workload\": %S, \"ndomains\": %d,\n\
     \  \"reference\": { \"paths\": %d, \"errors\": %d },\n\
     \  \"scenarios\": ["
-    quick wname ndomains sim.CD.total_paths sim.CD.total_errors;
+    quick wname ndomains sim.O.total_paths sim.O.total_errors;
   List.iteri
     (fun i (name, t, (r : CP.result)) ->
       Printf.fprintf oc
@@ -1476,8 +1482,8 @@ let bench_faults_parallel ?(quick = false) () =
         \    \"recovered_jobs\": %d, \"retransmits\": %d, \"recovery_replay_instrs\": %d,\n\
         \    \"transfers\": %d, \"steals\": %d }"
         (if i = 0 then "" else ",")
-        name t r.CP.total_paths r.CP.total_errors r.CP.crashes r.CP.recovered_jobs
-        r.CP.retransmits r.CP.recovery_replay_instrs r.CP.transfers r.CP.steals)
+        name t r.O.total_paths r.O.total_errors r.O.crashes r.O.recovered_jobs
+        r.O.retransmits r.O.recovery_replay_instrs r.O.transfers r.O.steals)
     rows;
   Printf.fprintf oc " ],\n  \"ok\": %b }\n" (!failures = []);
   close_out oc;
@@ -1580,7 +1586,7 @@ let bench_profile () =
   in
   let sink, t_prof, r, samples, locks = profiled 1 in
   Printf.printf "profiled run: %.3f s, %d paths (%d errors), %d steals\n\n" t_prof
-    r.Cluster.Parallel.total_paths r.Cluster.Parallel.total_errors r.Cluster.Parallel.steals;
+    r.O.total_paths r.O.total_errors r.O.steals;
   print_string (Obs.Report.render_profile_string samples);
   let mailbox = hist samples ~kind:"mailbox_wait" () in
   let steal = hist samples ~kind:"steal_rtt" () in
@@ -1591,7 +1597,7 @@ let bench_profile () =
   if hcount steal = 0 then fail "no steal_rtt spans were recorded";
   if hcount solver = 0 then fail "no solver_query spans were recorded";
   (* reconciliation: every answered query closes exactly one span *)
-  let queries = r.Cluster.Parallel.solver_stats.Smt.Solver.queries in
+  let queries = r.O.solver_stats.Smt.Solver.queries in
   if hcount solver <> queries then
     fail "solver_query spans (%d) do not reconcile with solver queries (%d)" (hcount solver)
       queries;
@@ -1625,9 +1631,9 @@ let bench_profile () =
   for i = 0 to trials - 1 do
     let dt_off, r_off = timed ~nd:1 () in
     let dt_on, r_on = timed ~obs:(Obs.Sink.create ()) ~nd:1 () in
-    if r_on.Cluster.Parallel.total_paths <> r_off.Cluster.Parallel.total_paths then
+    if r_on.O.total_paths <> r_off.O.total_paths then
       fail "sample %d: profiled run found %d paths, unprofiled %d" i
-        r_on.Cluster.Parallel.total_paths r_off.Cluster.Parallel.total_paths;
+        r_on.O.total_paths r_off.O.total_paths;
     t_off.(i) <- dt_off;
     t_on.(i) <- dt_on
   done;
@@ -1663,7 +1669,7 @@ let bench_profile () =
   Printf.fprintf oc "{ \"bench\": \"profile\", \"workload\": %S, \"ndomains\": %d,\n" wname
     ndomains;
   Printf.fprintf oc "  \"paths\": %d, \"errors\": %d, \"steals\": %d, \"solver_queries\": %d,\n"
-    r.Cluster.Parallel.total_paths r.Cluster.Parallel.total_errors r.Cluster.Parallel.steals
+    r.O.total_paths r.O.total_errors r.O.steals
     queries;
   Printf.fprintf oc "  \"latency_ns\": {\n";
   emit_hist oc "mailbox_wait" mailbox false;
@@ -1751,7 +1757,7 @@ let bench_service ?(quick = false) () =
       (fun v ->
         let r = C.run_cluster ~options (resolve v) in
         Printf.printf "direct   %-6s paths=%5d errors=%3d useful=%7d\n%!" v
-          r.CD.total_paths r.CD.total_errors r.CD.useful_instrs;
+          r.O.total_paths r.O.total_errors r.O.useful_instrs;
         (v, r))
       tenants
   in
@@ -1818,9 +1824,9 @@ let bench_service ?(quick = false) () =
           c.SC.paths c.SC.errors c.SC.slices (SC.status_to_string c.SC.status);
         gate (c.SC.status = SC.Done) (v ^ ": campaign did not finish");
         gate
-          (c.SC.paths = dr.CD.total_paths && c.SC.errors = dr.CD.total_errors)
+          (c.SC.paths = dr.O.total_paths && c.SC.errors = dr.O.total_errors)
           (Printf.sprintf "%s: restored totals %d/%d != uninterrupted %d/%d" v c.SC.paths
-             c.SC.errors dr.CD.total_paths dr.CD.total_errors))
+             c.SC.errors dr.O.total_paths dr.O.total_errors))
     direct;
   (* gate 2: starvation bound.  For consecutive grants to one tenant, the
      number of intervening grants is at most (max runnable over the
@@ -1859,8 +1865,8 @@ let bench_service ?(quick = false) () =
     J.Obj
       [
         ("tenant", J.Str v);
-        ("direct_paths", J.Num (float_of_int dr.CD.total_paths));
-        ("direct_errors", J.Num (float_of_int dr.CD.total_errors));
+        ("direct_paths", J.Num (float_of_int dr.O.total_paths));
+        ("direct_errors", J.Num (float_of_int dr.O.total_errors));
         ( "restored_paths",
           J.Num (float_of_int (match c with Some c -> c.SC.paths | None -> -1)) );
         ( "restored_errors",

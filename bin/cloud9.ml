@@ -197,8 +197,11 @@ let run_local ?obs target options =
       inc.Smt.Solver.assumption_solves inc.Smt.Solver.group_hits inc.Smt.Solver.group_misses
       inc.Smt.Solver.retirements
 
-let run_cluster ?obs target nworkers speed goal max_steps crashes rejoin msg_loss =
-  let fault_plan =
+(* The --crash/--rejoin/--msg-loss plan, validated against the worker
+   count of either cluster mode (ticks are virtual ticks with --workers,
+   coordinator ticks of ~1 ms with --parallel). *)
+let fault_plan ~nworkers crashes rejoin msg_loss =
+  let plan =
     Cluster.Faultplan.create
       ~crashes:
         (List.map
@@ -209,6 +212,31 @@ let run_cluster ?obs target nworkers speed goal max_steps crashes rejoin msg_los
            crashes)
       ~drop_prob:msg_loss ()
   in
+  match Cluster.Faultplan.validate plan ~nworkers with
+  | Ok () -> plan
+  | Error m ->
+    Printf.eprintf "cloud9: %s\n" m;
+    exit 1
+
+(* Both cluster modes report the same record. *)
+let print_outcome ~header fault_plan (r : Cluster.Outcome.t) =
+  let module O = Cluster.Outcome in
+  Printf.printf "%s, %d paths (%d errors), %.1f%% coverage\n" header r.O.total_paths
+    r.O.total_errors (100.0 *. r.O.final_coverage);
+  Printf.printf
+    "work: %d useful + %d replay instructions, %d jobs transferred (%d steals), %d broken \
+     replays\n"
+    r.O.useful_instrs r.O.replay_instrs r.O.transfers r.O.steals r.O.broken_replays;
+  if not (Cluster.Faultplan.is_faultless fault_plan) then
+    Printf.printf
+      "faults: %d crashes, %d jobs recovered, %d retransmits, %d recovery replay instructions\n"
+      r.O.crashes r.O.recovered_jobs r.O.retransmits r.O.recovery_replay_instrs;
+  let st = r.O.solver_stats in
+  Printf.printf "solver: %d queries, %d SAT calls, %d cache hits, %d model-probe hits\n"
+    st.Smt.Solver.queries st.Smt.Solver.sat_calls st.Smt.Solver.cache_hits
+    st.Smt.Solver.cex_hits
+
+let run_cluster ?obs target nworkers speed goal max_steps fault_plan =
   let options =
     {
       C.default_cluster_options with
@@ -220,59 +248,16 @@ let run_cluster ?obs target nworkers speed goal max_steps crashes rejoin msg_los
     }
   in
   let r = C.run_cluster ?obs ~options target in
-  Printf.printf
-    "cluster: %d workers, %d virtual ticks, %d paths (%d errors), %.1f%% coverage\n"
-    nworkers r.Cluster.Driver.ticks r.Cluster.Driver.total_paths r.Cluster.Driver.total_errors
-    (100.0 *. r.Cluster.Driver.final_coverage);
-  Printf.printf "work: %d useful + %d replay instructions, %d states transferred, %d broken replays\n"
-    r.Cluster.Driver.useful_instrs r.Cluster.Driver.replay_instrs r.Cluster.Driver.transfers
-    r.Cluster.Driver.broken_replays;
-  if not (Cluster.Faultplan.is_faultless fault_plan) then
-    Printf.printf
-      "faults: %d crashes, %d jobs recovered, %d retransmits, %d recovery replay instructions\n"
-      r.Cluster.Driver.crashes r.Cluster.Driver.recovered_jobs r.Cluster.Driver.retransmits
-      r.Cluster.Driver.recovery_replay_instrs
+  let ticks = r.Cluster.Outcome.ticks in
+  print_outcome fault_plan r
+    ~header:(Printf.sprintf "cluster: %d workers, %d virtual ticks" nworkers ticks)
 
-let run_parallel ?obs target ndomains max_steps crashes rejoin msg_loss =
-  (* the same --crash/--rejoin/--msg-loss flags compose with --parallel;
-     ticks are coordinator ticks (~1 ms each) on real domains *)
-  let fault_plan =
-    Cluster.Faultplan.create
-      ~crashes:
-        (List.map
-           (fun (w, t) ->
-             Cluster.Faultplan.crash
-               ?rejoin_after:(if rejoin > 0 then Some rejoin else None)
-               w ~at_tick:t)
-           crashes)
-      ~drop_prob:msg_loss ()
-  in
-  (match Cluster.Faultplan.validate fault_plan ~nworkers:ndomains with
-  | Ok () -> ()
-  | Error m ->
-    Printf.eprintf "cloud9: %s\n" m;
-    exit 1);
+let run_parallel ?obs target ndomains max_steps fault_plan =
   let options =
     { C.default_cluster_options with C.cworker_max_steps = Some max_steps; fault_plan }
   in
   let r = C.run_parallel ?obs ~ndomains ~options target in
-  Printf.printf "parallel: %d domains, %d paths (%d errors), %.1f%% coverage\n"
-    r.Cluster.Parallel.ndomains r.Cluster.Parallel.total_paths r.Cluster.Parallel.total_errors
-    (100.0 *. r.Cluster.Parallel.final_coverage);
-  Printf.printf
-    "work: %d useful + %d replay instructions, %d jobs transferred (%d steals), %d broken \
-     replays\n"
-    r.Cluster.Parallel.useful_instrs r.Cluster.Parallel.replay_instrs
-    r.Cluster.Parallel.transfers r.Cluster.Parallel.steals r.Cluster.Parallel.broken_replays;
-  if not (Cluster.Faultplan.is_faultless fault_plan) then
-    Printf.printf
-      "faults: %d crashes, %d jobs recovered, %d retransmits, %d recovery replay instructions\n"
-      r.Cluster.Parallel.crashes r.Cluster.Parallel.recovered_jobs
-      r.Cluster.Parallel.retransmits r.Cluster.Parallel.recovery_replay_instrs;
-  let st = r.Cluster.Parallel.solver_stats in
-  Printf.printf "solver: %d queries, %d SAT calls, %d cache hits, %d model-probe hits\n"
-    st.Smt.Solver.queries st.Smt.Solver.sat_calls st.Smt.Solver.cache_hits
-    st.Smt.Solver.cex_hits
+  print_outcome fault_plan r ~header:(Printf.sprintf "parallel: %d domains" ndomains)
 
 let run_cmd =
   let run name variant workers parallel strategy max_steps max_paths coverage tests speed
@@ -290,7 +275,8 @@ let run_cmd =
       | Some ndomains ->
         (* the pos_int converter already rejected n < 1 with a proper
            Cmdliner error, so no silent fallthrough remains here *)
-        run_parallel ?obs target ndomains max_steps crashes rejoin msg_loss
+        run_parallel ?obs target ndomains max_steps
+          (fault_plan ~nworkers:ndomains crashes rejoin msg_loss)
       | None ->
       if workers <= 1 then begin
         let goal =
@@ -314,7 +300,8 @@ let run_cmd =
           | Some f -> Cluster.Driver.Coverage_target f
           | None -> Cluster.Driver.Exhaust
         in
-        run_cluster ?obs target workers speed goal max_steps crashes rejoin msg_loss
+        run_cluster ?obs target workers speed goal max_steps
+          (fault_plan ~nworkers:workers crashes rejoin msg_loss)
       end);
       write_obs_artifacts obs ~trace ~metrics
   in

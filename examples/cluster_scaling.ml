@@ -35,11 +35,11 @@ let () =
             }
           target
       in
-      if nworkers = 1 then base_time := r.Cluster.Driver.ticks;
+      if nworkers = 1 then base_time := r.Cluster.Outcome.ticks;
       Format.printf "%8d %12d %10d %14d %12d   (speedup %.1fx)@." nworkers
-        r.Cluster.Driver.ticks r.Cluster.Driver.total_paths r.Cluster.Driver.useful_instrs
-        r.Cluster.Driver.transfers
-        (float_of_int !base_time /. float_of_int r.Cluster.Driver.ticks))
+        r.Cluster.Outcome.ticks r.Cluster.Outcome.total_paths r.Cluster.Outcome.useful_instrs
+        r.Cluster.Outcome.transfers
+        (float_of_int !base_time /. float_of_int r.Cluster.Outcome.ticks))
     [ 1; 2; 4; 8 ];
   Format.printf "@.Every run explores the same global execution tree: identical path counts,@.";
   Format.printf "split dynamically across workers by the load balancer.@."

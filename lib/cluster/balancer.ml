@@ -44,11 +44,7 @@ let disable t = t.enabled <- false
 let report ?(tick = 0) t ~worker ~queue_len ~coverage =
   Hashtbl.replace t.queues worker queue_len;
   Hashtbl.replace t.last_report worker tick;
-  let n = min (Bytes.length coverage) (Bytes.length t.global_coverage) in
-  for i = 0 to n - 1 do
-    Bytes.set t.global_coverage i
-      (Char.chr (Char.code (Bytes.get t.global_coverage i) lor Char.code (Bytes.get coverage i)))
-  done;
+  Engine.Coverage.union_into t.global_coverage coverage;
   Bytes.copy t.global_coverage
 
 let forget t ~worker =

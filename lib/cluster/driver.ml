@@ -72,61 +72,18 @@ type 'env config = {
   stop_after_instrs : int option; (* drain + export once useful instrs reach this *)
 }
 
-type bucket = {
-  b_start_tick : int;
-  mutable transferred : int; (* states moved between workers in this bucket *)
-  mutable candidates : int;  (* candidate nodes, averaged over the bucket's ticks *)
-  mutable cand_sum : int;    (* accumulator for the average *)
-  mutable cand_samples : int;
-  mutable useful : int;      (* cumulative useful instructions at bucket end *)
-  mutable coverage : float;  (* global coverage fraction at bucket end *)
-}
-
 let fresh_bucket t =
-  { b_start_tick = t; transferred = 0; candidates = 0; cand_sum = 0; cand_samples = 0; useful = 0; coverage = 0.0 }
+  {
+    Outcome.b_start_tick = t;
+    transferred = 0;
+    candidates = 0;
+    cand_sum = 0;
+    cand_samples = 0;
+    useful = 0;
+    coverage = 0.0;
+  }
 
-(* Everything a campaign must persist to resume this run later and reach
-   the exact totals of an uninterrupted one: the unexplored frontier as
-   job-tree path encodings (each node exactly once, taken at a drained
-   barrier), the cumulative ban set, this run's counters, and the union
-   coverage bit vector. *)
-type frontier_export = {
-  fx_jobs : Job.t list;      (* every unexplored candidate, exactly once *)
-  fx_bans : Job.t list;      (* cumulative ban set (crash recoveries) *)
-  fx_paths : int;            (* this run's completed-path total *)
-  fx_errors : int;
-  fx_coverage : Bytes.t;     (* union line bit vector of this run *)
-}
-
-type result = {
-  ticks : int;               (* virtual time consumed *)
-  reached_goal : bool;
-  total_paths : int;
-  total_errors : int;
-  useful_instrs : int;
-  replay_instrs : int;
-  broken_replays : int;
-  transfers : int;           (* total states transferred *)
-  buckets : bucket list;     (* oldest first *)
-  per_worker_useful : (int * int) list; (* worker id -> useful instructions *)
-  final_coverage : float;
-  crashes : int;             (* crash-plan victims plus lease evictions *)
-  recovered_jobs : int;      (* orphaned jobs re-seeded from ledger copies *)
-  retransmits : int;         (* job batches resent after an ack timeout *)
-  recovery_replay_instrs : int; (* replay cost of reconstructing orphans *)
-  solver_stats : Smt.Solver.stats; (* cluster-wide aggregate, dead workers included *)
-  per_worker_solver : (int * Smt.Solver.stats) list; (* live workers at run end *)
-  export : frontier_export option;
-      (* present iff [stop_after_instrs] was set and the run reached a
-         drained barrier (budget preemption or natural exhaustion); a
-         [max_ticks] bailout mid-flight yields [None] *)
-}
-
-let popcount_bytes b =
-  let rec pop x acc = if x = 0 then acc else pop (x lsr 1) (acc + (x land 1)) in
-  let c = ref 0 in
-  Bytes.iter (fun ch -> c := !c + pop (Char.code ch) 0) b;
-  !c
+type result = Outcome.t
 
 let run ?obs (cfg : 'env config) =
   (match Faultplan.validate cfg.faults ~nworkers:cfg.nworkers with
@@ -147,7 +104,6 @@ let run ?obs (cfg : 'env config) =
     | Some s -> Array.init cfg.nworkers (Obs.Sink.for_worker s)
   in
   let idle_acc = Array.make cfg.nworkers 0 in (* cumulative unused budget *)
-  let d_solver = Smt.Solver.zero_stats () in  (* dead workers' solver counters *)
   let sample_worker i (w : 'env Worker.t) =
     if obs <> None then begin
       let stats = w.Worker.cfg.Executor.stats in
@@ -165,6 +121,7 @@ let run ?obs (cfg : 'env config) =
   let inbox : (int * message) list ref = ref [] in (* (deliver_tick, msg) *)
   let tick = ref 0 in
   let transfers_total = ref 0 in
+  let steals = ref 0 in
   let buckets = ref [] in
   let cur_bucket = ref (fresh_bucket 0) in
   let stop = ref false in
@@ -175,13 +132,12 @@ let run ?obs (cfg : 'env config) =
      retransmission sweeps continue until no lease is in flight — the
      barrier at which worker digests partition the unexplored region. *)
   let draining = ref false in
-  (* counters of crashed workers, captured at crash time: the reported
+  (* tallies of crashed workers, taken at crash time: their reported
      path/error counts live in the transport's credits (unreported
      completions are redone by recovery and counted there — never
-     twice), while these instruction counters hold everything the dead
-     engine physically executed *)
-  let d_useful = ref 0 and d_replay = ref 0 and d_broken = ref 0 in
-  let d_recov_replay = ref 0 in
+     twice), while instructions, solver stats and coverage count
+     everything the dead engines physically executed *)
+  let dead = ref [] in
 
   let send_net ~at ~src ~dst msg =
     match Faultplan.fate frt ~tick:!tick ~src ~dst with
@@ -226,12 +182,7 @@ let run ?obs (cfg : 'env config) =
                 departed.(i) <- true;
                 sample_worker i w; (* last timeline sample before the engine is dropped *)
                 emit (Obs.Event.Crash { worker = i });
-                Smt.Solver.accum_stats d_solver (Smt.Solver.stats w.Worker.cfg.Executor.solver);
-                let _, _, useful, replay = Worker.stats w in
-                d_useful := !d_useful + useful;
-                d_replay := !d_replay + replay;
-                d_broken := !d_broken + w.Worker.broken_replays;
-                d_recov_replay := !d_recov_replay + w.Worker.recovery_replay_instrs;
+                dead := Worker.tally ~snapshots:true w :: !dead;
                 (* undeliverable traffic: jobs to the dead worker are already
                    re-routed through their leases; requests involving it are moot *)
                 inbox :=
@@ -278,43 +229,13 @@ let run ?obs (cfg : 'env config) =
       (* merge every live worker's vector into the LB's view *)
       let g = Balancer.global_coverage b in
       List.iter
-        (fun w ->
-          let c = w.Worker.cfg.Executor.coverage in
-          for i = 0 to min (Bytes.length g) (Bytes.length c) - 1 do
-            Bytes.set g i (Char.chr (Char.code (Bytes.get g i) lor Char.code (Bytes.get c i)))
-          done)
+        (fun w -> Engine.Coverage.union_into g w.Worker.cfg.Executor.coverage)
         (alive_workers ());
-      if cfg.coverable_lines = 0 then 1.0
-      else float_of_int (popcount_bytes g) /. float_of_int cfg.coverable_lines
+      Engine.Coverage.fraction ~coverable:cfg.coverable_lines g
   in
-  (* the same union, as raw bytes — exported so a resumed campaign can OR
-     slices together (lines covered only by completed paths are not
-     re-covered by frontier replays) *)
-  let global_coverage_bytes () =
-    match !lb with
-    | None -> Bytes.create 0
-    | Some b ->
-      let g = Balancer.global_coverage b in
-      List.iter
-        (fun w ->
-          let c = w.Worker.cfg.Executor.coverage in
-          for i = 0 to min (Bytes.length g) (Bytes.length c) - 1 do
-            Bytes.set g i (Char.chr (Char.code (Bytes.get g i) lor Char.code (Bytes.get c i)))
-          done)
-        (alive_workers ());
-      Bytes.copy g
-  in
-  let totals () =
-    List.fold_left
-      (fun (p, e, u, r, b) w ->
-        let paths, errs, useful, replay = Worker.stats w in
-        (p + paths, e + errs, u + useful, r + replay, b + w.Worker.broken_replays))
-      ( Transport.credit_paths transport,
-        Transport.credit_errors transport,
-        !d_useful,
-        !d_replay,
-        !d_broken )
-      (alive_workers ())
+  let useful_total () =
+    let tallies = !dead @ List.map Worker.tally (alive_workers ()) in
+    List.fold_left (fun acc t -> acc + t.Worker.useful) 0 tallies
   in
 
   while not !stop do
@@ -383,7 +304,7 @@ let run ?obs (cfg : 'env config) =
               emit (Obs.Event.Job_transfer { lease; src; dst; count; recovery });
               Worker.receive_batch ~recovery w batch;
               transfers_total := !transfers_total + count;
-              !cur_bucket.transferred <- !cur_bucket.transferred + count
+              !cur_bucket.Outcome.transferred <- !cur_bucket.Outcome.transferred + count
             end
           | None -> ())
         | Transfer_request { src; dst; count } -> (
@@ -429,13 +350,14 @@ let run ?obs (cfg : 'env config) =
             match w with
             | None -> ()
             | Some w ->
-              let paths, errs, _, _ = Worker.stats w in
+              let tally = Worker.tally w in
               let received =
                 Hashtbl.fold (fun id dst acc -> if dst = i then id :: acc else acc)
                   processed_leases []
               in
               Ledger.record_report ~received ledger ~worker:i ~tick:t
-                ~digest:(Worker.digest_paths w) ~paths ~errors:errs;
+                ~digest:(Worker.digest_paths w) ~paths:tally.Worker.paths
+                ~errors:tally.Worker.errors;
               let cov = w.Worker.cfg.Executor.coverage in
               let global =
                 Balancer.report ~tick:t b ~worker:i ~queue_len:(Worker.queue_length w)
@@ -448,6 +370,7 @@ let run ?obs (cfg : 'env config) =
         if not !draining then
           List.iter
             (fun { Balancer.src; dst; count } ->
+              incr steals;
               send_net ~at:(t + cfg.latency) ~src:Faultplan.lb ~dst:src
                 (Transfer_request { src; dst; count }))
             (Balancer.rebalance ~now:t ~staleness:(2 * cfg.status_interval) b)
@@ -459,15 +382,15 @@ let run ?obs (cfg : 'env config) =
     Transport.tick transport ~now:t;
     (* bucket bookkeeping: sample the candidate population every tick so
        the bucket reports an average, not an end-of-bucket snapshot *)
-    !cur_bucket.cand_sum <-
-      !cur_bucket.cand_sum
+    let bk = !cur_bucket in
+    bk.Outcome.cand_sum <-
+      bk.Outcome.cand_sum
       + List.fold_left (fun acc w -> acc + Worker.queue_length w) 0 (alive_workers ());
-    !cur_bucket.cand_samples <- !cur_bucket.cand_samples + 1;
+    bk.Outcome.cand_samples <- bk.Outcome.cand_samples + 1;
     if (t + 1) mod cfg.bucket_ticks = 0 then begin
-      let _, _, useful, _, _ = totals () in
-      !cur_bucket.candidates <- !cur_bucket.cand_sum / max 1 !cur_bucket.cand_samples;
-      !cur_bucket.useful <- useful;
-      !cur_bucket.coverage <- global_coverage_fraction ();
+      bk.Outcome.candidates <- bk.Outcome.cand_sum / max 1 bk.Outcome.cand_samples;
+      bk.Outcome.useful <- useful_total ();
+      bk.Outcome.coverage <- global_coverage_fraction ();
       buckets := !cur_bucket :: !buckets;
       cur_bucket := fresh_bucket (t + 1)
     end;
@@ -506,66 +429,24 @@ let run ?obs (cfg : 'env config) =
        shrinks the unexplored tree, so chained slices terminate. *)
     (match cfg.stop_after_instrs with
     | Some budget when not !draining ->
-      let _, _, useful, _, _ = totals () in
-      if useful >= budget && List.exists (fun w -> w.Worker.advances > 0) (alive_workers ())
+      if
+        useful_total () >= budget
+        && List.exists (fun w -> w.Worker.advances > 0) (alive_workers ())
       then draining := true
     | Some _ | None -> ());
     if !draining && !inbox = [] && Transport.quiesced transport then stop := true;
     incr tick;
     if !tick >= cfg.max_ticks then stop := true
   done;
-  let total_paths, total_errors, useful, replay, broken = totals () in
   (* the frontier export: only meaningful at a drained barrier (budget
-     preemption, or natural exhaustion under a budget — where the digests
-     are empty and the export records just counters, bans and coverage) *)
-  let export =
-    match cfg.stop_after_instrs with
-    | None -> None
-    | Some _ when not (!inbox = [] && Transport.quiesced transport) -> None
-    | Some _ ->
-      Some
-        {
-          fx_jobs = List.concat_map Worker.digest_paths (alive_workers ());
-          fx_bans = Transport.bans transport;
-          fx_paths = total_paths;
-          fx_errors = total_errors;
-          fx_coverage = global_coverage_bytes ();
-        }
-  in
-  let solver_agg = Smt.Solver.zero_stats () in
-  Smt.Solver.accum_stats solver_agg d_solver;
-  List.iter
-    (fun w -> Smt.Solver.accum_stats solver_agg (Smt.Solver.stats w.Worker.cfg.Executor.solver))
-    (alive_workers ());
-  {
-    ticks = !tick;
-    reached_goal = !reached;
-    total_paths;
-    total_errors;
-    useful_instrs = useful;
-    replay_instrs = replay;
-    broken_replays = broken;
-    transfers = !transfers_total;
-    buckets = List.rev !buckets;
-    per_worker_useful =
-      List.map
-        (fun w -> (w.Worker.id, w.Worker.cfg.Executor.stats.Executor.useful_instrs))
-        (alive_workers ());
-    final_coverage = global_coverage_fraction ();
-    crashes = Transport.crashes transport;
-    recovered_jobs = Transport.recovered_jobs transport;
-    retransmits = Transport.retransmits transport;
-    recovery_replay_instrs =
-      List.fold_left
-        (fun acc w -> acc + w.Worker.recovery_replay_instrs)
-        !d_recov_replay (alive_workers ());
-    solver_stats = solver_agg;
-    per_worker_solver =
-      List.map
-        (fun w -> (w.Worker.id, Smt.Solver.copy_stats w.Worker.cfg.Executor.solver))
-        (alive_workers ());
-    export;
-  }
+     preemption or exhaustion, where the digests are empty) *)
+  let drained = !inbox = [] && Transport.quiesced transport in
+  Outcome.make ~transport
+    ~live:(List.map (fun w -> (w.Worker.id, Worker.tally ~snapshots:true w)) (alive_workers ()))
+    ~dead:!dead ~coverable:cfg.coverable_lines ~ticks:!tick ~reached_goal:!reached
+    ~transfers:!transfers_total ~steals:!steals ~buckets:(List.rev !buckets)
+    ~frontier:
+      (if drained then Some (List.concat_map Worker.digest_paths (alive_workers ())) else None)
 
 (* Convenience: a homogeneous cluster configuration with sensible
    defaults.  [make_worker] receives the worker id. *)

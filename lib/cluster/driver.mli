@@ -45,60 +45,14 @@ type 'env config = {
       (** campaign preemption: once the cluster retires this many
           {e useful} instructions, stop granting execution budgets, let
           in-flight leases settle, and stop at the drained barrier with
-          [result.export] filled.  Replay instructions (restoring a
+          [export] filled.  Replay instructions (restoring a
           resumed frontier) are not charged, so every slice is
           guaranteed to advance exploration and chained slices
           terminate even when the replay bill exceeds the budget *)
 }
 
-(** Everything a campaign persists to resume a run and reach the exact
-    totals of an uninterrupted one: the unexplored frontier as job path
-    encodings (each node exactly once, captured at a drained barrier),
-    the cumulative ban set, this run's counters, and the union coverage
-    bit vector. *)
-type frontier_export = {
-  fx_jobs : Job.t list;
-  fx_bans : Job.t list;
-  fx_paths : int;
-  fx_errors : int;
-  fx_coverage : Bytes.t;
-}
-
-type bucket = {
-  b_start_tick : int;
-  mutable transferred : int;
-  mutable candidates : int;  (** averaged over the bucket's ticks *)
-  mutable cand_sum : int;
-  mutable cand_samples : int;
-  mutable useful : int;      (** cumulative useful instructions at bucket end *)
-  mutable coverage : float;  (** global coverage fraction at bucket end *)
-}
-
-type result = {
-  ticks : int;
-  reached_goal : bool;
-  total_paths : int;
-  total_errors : int;
-  useful_instrs : int;
-  replay_instrs : int;
-  broken_replays : int;
-  transfers : int;
-  buckets : bucket list;  (** oldest first *)
-  per_worker_useful : (int * int) list;
-  final_coverage : float;
-  crashes : int;  (** crash-plan victims plus lease evictions *)
-  recovered_jobs : int;  (** orphaned jobs re-seeded from ledger copies *)
-  retransmits : int;  (** job batches resent after an ack timeout *)
-  recovery_replay_instrs : int;  (** replay cost of reconstructing orphans *)
-  solver_stats : Smt.Solver.stats;
-      (** cluster-wide solver aggregate, dead workers included *)
-  per_worker_solver : (int * Smt.Solver.stats) list;
-      (** per-worker solver counters for workers alive at run end *)
-  export : frontier_export option;
-      (** present iff [stop_after_instrs] was set and the run reached a
-          drained barrier (budget preemption or natural exhaustion); a
-          [max_ticks] bailout mid-flight yields [None] *)
-}
+(** Both cluster runtimes report the same record. *)
+type result = Outcome.t
 
 (** [obs] enables observability for the run: the driver advances the
     sink's virtual clock, samples one timeline point per live worker per

@@ -178,14 +178,7 @@ type cmsg =
 type 'env config = {
   ndomains : int;
   make_worker : int -> 'env Worker.t;
-  slice : int;
-  status_every : int;
-  mailbox_capacity : int;
   faults : Faultplan.t;
-  tick_period : float;
-  heartbeat_ticks : int;
-  push_timeout : float;
-  watchdog : float;
   obs : Obs.Sink.t option;
       (* when set, the runtime itself is profiled: mailbox waits, steal
          round-trips and (recovery) replays per worker domain, quiescence
@@ -193,61 +186,29 @@ type 'env config = {
 }
 
 let default_config ?obs ?(faults = Faultplan.none) ~ndomains ~make_worker () =
-  {
-    ndomains;
-    make_worker;
-    slice = 2_000;
-    status_every = 4;
-    mailbox_capacity = 4_096;
-    faults;
-    tick_period = 0.001;
-    heartbeat_ticks = 0;
-    push_timeout = 1.0;
-    watchdog = 120.0;
-    obs;
-  }
+  { ndomains; make_worker; faults; obs }
 
-type result = {
-  ndomains : int;
-  total_paths : int;
-  total_errors : int;
-  useful_instrs : int;
-  replay_instrs : int;
-  broken_replays : int;
-  transfers : int;
-  steals : int;
-  status_reports : int;
-  jobs_sent : int;
-  jobs_received : int;
-  crashes : int;
-  recovered_jobs : int;
-  retransmits : int;
-  recovery_replay_instrs : int;
-  coverage_vector : Bytes.t;
-  final_coverage : float;
-  per_worker_useful : (int * int) list;
-  solver_stats : Smt.Solver.stats;
-  per_worker_solver : (int * Smt.Solver.stats) list;
-}
+type result = Outcome.t
 
-(* What a worker domain returns through [Domain.join].  Summaries of
-   incarnations that were declared crashed contribute instruction /
-   solver / coverage counters only: their path and error counts are
-   credited from the ledger's last report, and everything after that
-   report is replayed elsewhere (amnesia). *)
-type summary = {
-  sm_id : int;
-  sm_paths : int;
-  sm_errors : int;
-  sm_useful : int;
-  sm_replay : int;
-  sm_broken : int;
-  sm_recovery_replay : int;
-  sm_sent : int;
-  sm_received : int;
-  sm_solver : Smt.Solver.stats;
-  sm_coverage : Bytes.t;
-}
+(* Runtime constants.  Instructions a worker executes between mailbox
+   polls, and slices between its status reports while busy: *)
+let slice = 2_000
+let status_every = 4
+
+(* Bound on each mailbox, in messages. *)
+let mailbox_capacity = 4_096
+
+(* Seconds between coordinator ticks: the unit of the fault schedule,
+   lease timeouts and heartbeat intervals. *)
+let tick_period = 0.001
+
+(* Seconds the coordinator waits on a full worker mailbox before treating
+   the push as a lost message. *)
+let push_timeout = 1.0
+
+(* Seconds without coordinator progress before the run aborts with a
+   state dump. *)
+let watchdog = 120.0
 
 (* ---- worker domain ------------------------------------------------ *)
 
@@ -278,7 +239,7 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
         let crashed () = Atomic.get crash in
         let send_ctl msg = ignore (Mailbox.push_timeout coord msg ~timeout:ctl_timeout) in
         let send_status ~idle =
-          let paths, errors, _, _ = Worker.stats w in
+          let tally = Worker.tally w in
           send_ctl
             (Status
                {
@@ -288,8 +249,8 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
                  idle;
                  coverage = Bytes.copy w.Worker.cfg.Executor.coverage;
                  digest = Worker.digest_paths w;
-                 paths;
-                 errors;
+                 paths = tally.Worker.paths;
+                 errors = tally.Worker.errors;
                  received = !imported_list;
                })
         in
@@ -360,31 +321,18 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
           else begin
             List.iter process (Mailbox.drain inbox);
             if (not !stop) && (not (crashed ())) && not (Worker.is_idle w) then begin
-              ignore (Worker.execute w ~budget:cfg.slice);
+              ignore (Worker.execute w ~budget:slice);
               incr slices;
-              if !slices mod cfg.status_every = 0 then send_status ~idle:false
+              if !slices mod status_every = 0 then send_status ~idle:false
             end
           end
         done;
-        let paths, errors, useful, replay = Worker.stats w in
-        {
-          sm_id = i;
-          sm_paths = paths;
-          sm_errors = errors;
-          sm_useful = useful;
-          sm_replay = replay;
-          sm_broken = w.Worker.broken_replays;
-          sm_recovery_replay = w.Worker.recovery_replay_instrs;
-          sm_sent = w.Worker.jobs_sent;
-          sm_received = w.Worker.jobs_received;
-          sm_solver = Smt.Solver.copy_stats w.Worker.cfg.Executor.solver;
-          sm_coverage = Bytes.copy w.Worker.cfg.Executor.coverage;
-        })
+        Worker.tally ~snapshots:true w)
   with e ->
     (* A worker that dies mid-run (e.g. raising during replay) must still
        let [Domain.join] complete and the coordinator learn of the death:
        report the exception through the control mailbox and return an
-       empty summary.  The coordinator treats [Failed] as a crash
+       empty tally.  The coordinator treats [Failed] as a crash
        declaration, so the slot's leases recover exactly as if the
        fault plan had killed it. *)
     (try
@@ -393,33 +341,9 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
             (Failed { worker = i; incarnation; error = Printexc.to_string e })
             ~timeout:ctl_timeout)
      with _ -> ());
-    {
-      sm_id = i;
-      sm_paths = 0;
-      sm_errors = 0;
-      sm_useful = 0;
-      sm_replay = 0;
-      sm_broken = 0;
-      sm_recovery_replay = 0;
-      sm_sent = 0;
-      sm_received = 0;
-      sm_solver = Smt.Solver.zero_stats ();
-      sm_coverage = Bytes.create 0;
-    }
+    Worker.empty_tally ()
 
 (* ---- coordinator -------------------------------------------------- *)
-
-let popcount_bytes bv =
-  let n = ref 0 in
-  Bytes.iter
-    (fun c ->
-      let b = ref (Char.code c) in
-      while !b <> 0 do
-        b := !b land (!b - 1);
-        incr n
-      done)
-    bv;
-  !n
 
 (* Coordinator-side view of one worker slot.  The inbox and crash flag
    are per-incarnation: a rejoin replaces both, so late messages from
@@ -449,13 +373,17 @@ let run ~coverable_lines (cfg : 'env config) =
   | Error m -> invalid_arg ("Parallel.run: " ^ m));
   let n = cfg.ndomains in
   let faulty = not (Faultplan.is_faultless cfg.faults) in
+  (* failure detector: a busy worker silent for one interval is suspected,
+     for two is declared crashed (1 s at the 1 ms tick).  Only faulty runs
+     enable it, so a false positive can never perturb a fault-free run. *)
+  let heartbeat_ticks = if faulty then 1_000 else 0 in
   let frt = Faultplan.make cfg.faults in
-  let coord = Mailbox.create ~cap:(cfg.mailbox_capacity * (n + 1)) () in
+  let coord = Mailbox.create ~cap:(mailbox_capacity * (n + 1)) () in
   let slots =
     Array.init n (fun i ->
         {
           s_id = i;
-          s_inbox = Mailbox.create ~cap:cfg.mailbox_capacity ();
+          s_inbox = Mailbox.create ~cap:mailbox_capacity ();
           s_crash = Atomic.make false;
           s_incarnation = 0;
           s_dead = false;
@@ -480,7 +408,6 @@ let run ~coverable_lines (cfg : 'env config) =
   let delayed = ref [] in (* (due_tick, dst, incarnation, wmsg) *)
   let transfers = ref 0 in
   let steals = ref 0 in
-  let status_reports = ref 0 in
   let balancer = ref None in
   let issued_ns_hint = ref 0 in
   let transport_ref = ref None in
@@ -501,7 +428,7 @@ let run ~coverable_lines (cfg : 'env config) =
     (* a full mailbox on a wedged or dead worker must never block the
        coordinator: bounded push, overflow = the wire dropped it (the
        lease layer retransmits) *)
-    ignore (Mailbox.push_timeout sl.s_inbox msg ~timeout:cfg.push_timeout)
+    ignore (Mailbox.push_timeout sl.s_inbox msg ~timeout:push_timeout)
   in
   (* in-flight lease sizes, to unwind s_pending_jobs when a lease is
      acknowledged (directly or via a report's piggybacked ack list) *)
@@ -551,7 +478,7 @@ let run ~coverable_lines (cfg : 'env config) =
       (fun sl ->
         if
           (not sl.s_dead)
-          && not (Mailbox.push_timeout sl.s_inbox (Bans bans) ~timeout:cfg.push_timeout)
+          && not (Mailbox.push_timeout sl.s_inbox (Bans bans) ~timeout:push_timeout)
         then wedged := sl.s_id :: !wedged)
       slots;
     List.iter
@@ -613,7 +540,7 @@ let run ~coverable_lines (cfg : 'env config) =
     Domain.spawn (fun () ->
         while not (Atomic.get ticker_stop) do
           ignore (Mailbox.try_push coord Tick);
-          Unix.sleepf cfg.tick_period
+          Unix.sleepf tick_period
         done)
   in
   let watchdog_fired = ref false in
@@ -647,7 +574,7 @@ let run ~coverable_lines (cfg : 'env config) =
             let sl = slots.(v) in
             (* fresh incarnation: new mailbox and crash flag, so nothing
                addressed to (or signed by) the dead one can cross over *)
-            sl.s_inbox <- Mailbox.create ~cap:cfg.mailbox_capacity ();
+            sl.s_inbox <- Mailbox.create ~cap:mailbox_capacity ();
             sl.s_crash <- Atomic.make false;
             sl.s_incarnation <- sl.s_incarnation + 1;
             sl.s_dead <- false;
@@ -674,25 +601,21 @@ let run ~coverable_lines (cfg : 'env config) =
        suspected after one interval and declared crashed after two.
        Idle workers are silent by design and exempt — jobs routed to a
        truly dead idle worker are caught by lease eviction instead. *)
-    if cfg.heartbeat_ticks > 0 then
+    if heartbeat_ticks > 0 then
       Array.iter
         (fun sl ->
           if (not sl.s_dead) && not sl.s_idle then begin
             let silent = t - sl.s_last_heard in
-            if silent > 2 * cfg.heartbeat_ticks then
+            if silent > 2 * heartbeat_ticks then
               Transport.handle_crash transport ~now:t ~worker:sl.s_id
-            else if silent > cfg.heartbeat_ticks then sl.s_suspect <- true
+            else if silent > heartbeat_ticks then sl.s_suspect <- true
           end)
         slots;
-    if
-      cfg.watchdog > 0.0
-      && (not !watchdog_fired)
-      && Unix.gettimeofday () -. !last_progress > cfg.watchdog
-    then begin
+    if (not !watchdog_fired) && Unix.gettimeofday () -. !last_progress > watchdog then begin
       watchdog_fired := true;
       Printf.eprintf
         "parallel: watchdog after %.0fs without progress: pending=%d parked=%d delayed=%d\n%!"
-        cfg.watchdog (Ledger.pending ledger)
+        watchdog (Ledger.pending ledger)
         (Transport.parked_orphans transport)
         (List.length !delayed);
       Array.iter
@@ -712,7 +635,6 @@ let run ~coverable_lines (cfg : 'env config) =
       ->
       let sl = slots.(worker) in
       if incarnation = sl.s_incarnation && not sl.s_dead then begin
-        incr status_reports;
         touch sl;
         sl.s_idle <- idle;
         sl.s_queue_len <- queue_len;
@@ -833,8 +755,10 @@ let run ~coverable_lines (cfg : 'env config) =
      estimates cannot improve, so extra rounds only manufacture duplicate
      raids from the same stale numbers (each a future replay bill). *)
   let last_rebalance = ref 0 in
+  let reached = ref false in
   let rec loop () =
-    if quiescent () || all_dead_done () || !watchdog_fired then ()
+    if quiescent () then reached := true
+    else if all_dead_done () || !watchdog_fired then ()
     else begin
       (* One quiescence round = message drain (including the block on an
          empty coordinator mailbox — bounded by the next Tick) +
@@ -860,7 +784,7 @@ let run ~coverable_lines (cfg : 'env config) =
         Atomic.set sl.s_crash true;
         ignore (Mailbox.try_push sl.s_inbox Poke)
       end
-      else if not (Mailbox.push_timeout sl.s_inbox Stop ~timeout:(max 1.0 cfg.push_timeout))
+      else if not (Mailbox.push_timeout sl.s_inbox Stop ~timeout:(max 1.0 push_timeout))
       then begin
         Atomic.set sl.s_crash true;
         ignore (Mailbox.try_push sl.s_inbox Poke)
@@ -869,58 +793,17 @@ let run ~coverable_lines (cfg : 'env config) =
   Domain.join ticker;
   let joined = List.rev_map (fun (i, inc, d) -> (i, inc, Domain.join d)) !spawned in
   Option.iter Obs.Sink.flush cobs;
-  (* Drain any messages that raced with the stop broadcast. *)
-  List.iter
-    (fun m -> match m with Status _ -> incr status_reports | _ -> ())
-    (Mailbox.drain coord);
   if !watchdog_fired then
     failwith "Parallel.run: watchdog fired — no coordinator progress; state dumped to stderr";
-  let live i inc = not (Hashtbl.mem declared (i, inc)) in
-  let agg = Smt.Solver.zero_stats () in
-  List.iter (fun (_, _, s) -> Smt.Solver.accum_stats agg s.sm_solver) joined;
-  let coverage_vector =
-    let len =
-      List.fold_left (fun acc (_, _, s) -> max acc (Bytes.length s.sm_coverage)) 0 joined
-    in
-    let bv = Bytes.make len '\000' in
-    List.iter
-      (fun (_, _, s) ->
-        Bytes.iteri
-          (fun k c -> Bytes.set bv k (Char.chr (Char.code (Bytes.get bv k) lor Char.code c)))
-          s.sm_coverage)
-      joined;
-    bv
+  (* paths/errors: live incarnations report themselves; declared ones
+     are credited from their last ledger report, with everything after
+     it redone (and counted) by whoever ran the recovery leases *)
+  let live, dead =
+    List.partition (fun (i, inc, _) -> not (Hashtbl.mem declared (i, inc))) joined
   in
-  let sum f = List.fold_left (fun acc (_, _, s) -> acc + f s) 0 joined in
-  let sum_live f =
-    List.fold_left (fun acc (i, inc, s) -> if live i inc then acc + f s else acc) 0 joined
-  in
-  {
-    ndomains = n;
-    (* paths/errors: live incarnations report themselves; declared ones
-       are credited from their last ledger report, with everything after
-       it redone (and counted) by whoever ran the recovery leases *)
-    total_paths = Transport.credit_paths transport + sum_live (fun s -> s.sm_paths);
-    total_errors = Transport.credit_errors transport + sum_live (fun s -> s.sm_errors);
-    useful_instrs = sum (fun s -> s.sm_useful);
-    replay_instrs = sum (fun s -> s.sm_replay);
-    broken_replays = sum (fun s -> s.sm_broken);
-    transfers = !transfers;
-    steals = !steals;
-    status_reports = !status_reports;
-    jobs_sent = sum (fun s -> s.sm_sent);
-    jobs_received = sum (fun s -> s.sm_received);
-    crashes = Transport.crashes transport;
-    recovered_jobs = Transport.recovered_jobs transport;
-    retransmits = Transport.retransmits transport;
-    recovery_replay_instrs = sum (fun s -> s.sm_recovery_replay);
-    coverage_vector;
-    final_coverage =
-      (if coverable_lines <= 0 then 0.0
-       else float_of_int (popcount_bytes coverage_vector) /. float_of_int coverable_lines);
-    per_worker_useful =
-      List.filter_map (fun (i, inc, s) -> if live i inc then Some (i, s.sm_useful) else None) joined;
-    solver_stats = agg;
-    per_worker_solver =
-      List.filter_map (fun (i, inc, s) -> if live i inc then Some (i, s.sm_solver) else None) joined;
-  }
+  Outcome.make ~transport
+    ~live:(List.map (fun (i, _, t) -> (i, t)) live)
+    ~dead:(List.map (fun (_, _, t) -> t) dead)
+    ~coverable:coverable_lines ~ticks:!now ~reached_goal:!reached ~transfers:!transfers
+    ~steals:!steals ~buckets:[]
+    ~frontier:(if !reached then Some [] else None)

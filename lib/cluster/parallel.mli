@@ -22,9 +22,10 @@
     away nodes are banned, so a faulty run terminates with exactly the
     fault-free path and error totals — the differential gates
     [bench scaling] (fault-free) and [bench faults-parallel] (faulty)
-    enforce.  A heartbeat failure detector (off by default) declares
-    busy workers that stop reporting, and a watchdog aborts the run
-    with a state dump rather than hang.
+    enforce.  A heartbeat failure detector (on for faulty plans only)
+    declares busy workers that stop reporting, and a watchdog aborts a
+    run without coordinator progress for 120 s with a state dump rather
+    than hang.
 
     The runtime explores exhaustively ({!Driver.Exhaust}); dead slots
     are exempt from the quiescence predicate, so a run whose crashed
@@ -35,24 +36,12 @@ type 'env config = {
   make_worker : int -> 'env Worker.t;
       (** called {e inside} worker [i]'s domain, so domain-local solver
           state (simplify memo, caches) is created where it is used *)
-  slice : int;  (** instructions executed between mailbox polls *)
-  status_every : int;  (** slices between status reports while busy *)
-  mailbox_capacity : int;  (** bound on each mailbox, in messages *)
   faults : Faultplan.t;
-      (** crash / rejoin / loss schedule, in coordinator ticks.  The
-          plan is validated against [ndomains] before the run starts. *)
-  tick_period : float;
-      (** seconds between coordinator ticks (the unit of the fault
-          schedule, lease timeouts, and heartbeat intervals) *)
-  heartbeat_ticks : int;
-      (** failure detector: a busy worker silent for one interval is
-          suspected, for two is declared crashed.  0 disables. *)
-  push_timeout : float;
-      (** seconds the coordinator will wait on a full worker mailbox
-          before treating the push as a lost message *)
-  watchdog : float;
-      (** seconds without coordinator progress before the run aborts
-          with a state dump (0 disables) *)
+      (** crash / rejoin / loss schedule, in coordinator ticks of 1 ms.
+          The plan is validated against [ndomains] before the run
+          starts; a faulty plan also turns the heartbeat failure
+          detector on (a busy worker silent for 1 s is suspected, for
+          2 s declared crashed). *)
   obs : Obs.Sink.t option;
       (** when set, the runtime profiles itself with wall-clock spans:
           mailbox waits, steal round-trips and (recovery) replays per
@@ -69,31 +58,13 @@ val default_config :
   unit ->
   'env config
 
-type result = {
-  ndomains : int;
-  total_paths : int;
-  total_errors : int;
-  useful_instrs : int;
-  replay_instrs : int;
-  broken_replays : int;
-  transfers : int;  (** jobs moved between workers (leased batches) *)
-  steals : int;  (** transfer requests issued by the balancer *)
-  status_reports : int;
-  jobs_sent : int;
-  jobs_received : int;
-  crashes : int;  (** plan victims, heartbeat declarations, and evictions *)
-  recovered_jobs : int;  (** orphaned jobs re-seeded from ledger copies *)
-  retransmits : int;  (** job batches resent after an ack timeout *)
-  recovery_replay_instrs : int;  (** replay cost of reconstructing orphans *)
-  coverage_vector : Bytes.t;  (** union of the workers' line bit vectors *)
-  final_coverage : float;  (** covered fraction of [coverable_lines] *)
-  per_worker_useful : (int * int) list;  (** live incarnations only *)
-  solver_stats : Smt.Solver.stats;  (** aggregate over all incarnations *)
-  per_worker_solver : (int * Smt.Solver.stats) list;  (** live incarnations *)
-}
+(** Both cluster runtimes report the same record. *)
+type result = Outcome.t
 
 (** Run to exhaustion on [ndomains] worker domains.  [coverable_lines]
-    is the denominator of [final_coverage].
+    is the denominator of [final_coverage].  The result carries an empty
+    frontier export when the run quiesced, and none when every worker
+    died for good.
 
     @raise Invalid_argument when [ndomains < 1] or the fault plan fails
       {!Faultplan.validate}.

@@ -30,6 +30,54 @@ type 'env entry = {
   erecovery : bool; (* re-seeded by crash recovery (cost accounting) *)
 }
 
+(* What a worker reports, wherever it runs (see worker.mli). *)
+type tally = {
+  mutable paths : int;
+  mutable errors : int;
+  mutable pruned : int;
+  useful : int;
+  replay : int;
+  mutable broken : int;
+  mutable recovery_replay : int;
+  mutable sent : int;
+  mutable received : int;
+  solver : Smt.Solver.stats;
+  coverage : Bytes.t;
+}
+
+let empty_tally () =
+  {
+    paths = 0;
+    errors = 0;
+    pruned = 0;
+    useful = 0;
+    replay = 0;
+    broken = 0;
+    recovery_replay = 0;
+    sent = 0;
+    received = 0;
+    solver = Smt.Solver.zero_stats ();
+    coverage = Bytes.empty;
+  }
+
+let add_tally a b =
+  let solver = Smt.Solver.zero_stats () in
+  Smt.Solver.accum_stats solver a.solver;
+  Smt.Solver.accum_stats solver b.solver;
+  {
+    paths = a.paths + b.paths;
+    errors = a.errors + b.errors;
+    pruned = a.pruned + b.pruned;
+    useful = a.useful + b.useful;
+    replay = a.replay + b.replay;
+    broken = a.broken + b.broken;
+    recovery_replay = a.recovery_replay + b.recovery_replay;
+    sent = a.sent + b.sent;
+    received = a.received + b.received;
+    solver;
+    coverage = Engine.Coverage.union [ a.coverage; b.coverage ];
+  }
+
 type 'env mode =
   | Exploring
   | Replaying of {
@@ -52,7 +100,6 @@ type 'env t = {
      when a fork produces the exact path; see DESIGN.md, "Failure
      semantics". *)
   rng : Random.State.t;
-  collect_tests : int;
   (* snapshot cache: recently seen states at fork points, so replays start
      from the deepest known ancestor instead of the root — the paper's
      "replayed from nodes on the frontier, instead of from the root"
@@ -80,16 +127,11 @@ type 'env t = {
   mutable batch_fifo : Path.t list;
   mutable mode : 'env mode;
   mutable cov_turn : bool;
-  mutable paths_completed : int;
-  mutable errors : int;
-  mutable pruned : int;
+  counts : tally; (* the in-place counters; read them through [tally] *)
   mutable tests : Testcase.t list;
-  mutable broken_replays : int;
+  mutable tests_left : int; (* test cases still to collect *)
   mutable replays_done : int;
-  mutable jobs_sent : int;
-  mutable jobs_received : int;
   mutable banned_drops : int;
-  mutable recovery_replay_instrs : int; (* replay cost of recovery jobs *)
   mutable advances : int;
   (* exploration steps that changed the frontier (a fork or a termination):
      the only work a frontier export keeps, since each candidate is
@@ -111,7 +153,6 @@ let create ?(collect_tests = 0) ?(snap_limit = 512) ?prof ~id ~cfg ~make_root ~s
       fence = Trie.create ();
       banned = Trie.create ();
       rng = Random.State.make [| seed; id |];
-      collect_tests;
       snapshots = Hashtbl.create 256;
       snap_queue = Queue.create ();
       snap_limit;
@@ -122,16 +163,11 @@ let create ?(collect_tests = 0) ?(snap_limit = 512) ?prof ~id ~cfg ~make_root ~s
       batch_fifo = [];
       mode = Exploring;
       cov_turn = false;
-      paths_completed = 0;
-      errors = 0;
-      pruned = 0;
+      counts = empty_tally ();
       tests = [];
-      broken_replays = 0;
+      tests_left = collect_tests;
       replays_done = 0;
-      jobs_sent = 0;
-      jobs_received = 0;
       banned_drops = 0;
-      recovery_replay_instrs = 0;
       advances = 0;
       prof;
       replay_t0 = 0;
@@ -193,14 +229,17 @@ let select w =
 (* --- terminations ----------------------------------------------------------------- *)
 
 let record_finished w (st, term) =
+  let c = w.counts in
   match term with
-  | Errors.Pruned -> w.pruned <- w.pruned + 1
+  | Errors.Pruned -> c.pruned <- c.pruned + 1
   | Errors.Exit _ | Errors.Error _ ->
-    w.paths_completed <- w.paths_completed + 1;
-    if Errors.is_error term then w.errors <- w.errors + 1;
-    if List.length w.tests < w.collect_tests then begin
+    c.paths <- c.paths + 1;
+    if Errors.is_error term then c.errors <- c.errors + 1;
+    if w.tests_left > 0 then begin
       match Testcase.of_state w.cfg.Executor.solver st term with
-      | Some tc -> w.tests <- tc :: w.tests
+      | Some tc ->
+        w.tests <- tc :: w.tests;
+        w.tests_left <- w.tests_left - 1
       | None -> ()
     end
 
@@ -372,7 +411,7 @@ let replay_step w ~target ~remaining ~rstate ~recov =
         else w.mode <- Replaying { target; remaining = rest; rstate = st; recov }
       | None ->
         (* the expected successor does not exist: broken replay *)
-        w.broken_replays <- w.broken_replays + 1;
+        w.counts.broken <- w.counts.broken + 1;
         unpin_target w target;
         ignore (Obs.Profile.record w.prof (replay_kind recov) ~start_ns:w.replay_t0);
         emit w (Obs.Event.Replay_end { outcome = Obs.Event.Broken; recovery = recov });
@@ -389,7 +428,7 @@ let execute w ~budget =
     match w.mode with
     | Replaying { target; remaining; rstate; recov } ->
       incr used;
-      if recov then w.recovery_replay_instrs <- w.recovery_replay_instrs + 1;
+      if recov then w.counts.recovery_replay <- w.counts.recovery_replay + 1;
       replay_step w ~target ~remaining ~rstate ~recov
     | Exploring -> (
       match select w with
@@ -480,7 +519,7 @@ let transfer_out w ~count =
     emit w (Obs.Event.Fence_created { depth = List.length entry.epath });
     Trie.add w.fence entry.epath ();
     jobs := entry.epath :: !jobs;
-    w.jobs_sent <- w.jobs_sent + 1
+    w.counts.sent <- w.counts.sent + 1
   in
   let virtuals =
     Trie.fold (fun e acc -> if e.estate = None then e :: acc else acc) w.frontier []
@@ -502,7 +541,7 @@ let transfer_out w ~count =
 let receive_jobs ?(recovery = false) w jobs =
   List.iter
     (fun p ->
-      w.jobs_received <- w.jobs_received + 1;
+      w.counts.received <- w.counts.received + 1;
       emit w (Obs.Event.Candidate_added { depth = List.length p; virt = true });
       add_entry w { epath = p; estate = None; erecovery = recovery })
     jobs
@@ -543,8 +582,14 @@ let digest_paths w =
 
 let fence_count w = Trie.size w.fence
 
-let stats w =
-  ( w.paths_completed,
-    w.errors,
-    w.cfg.Executor.stats.Executor.useful_instrs,
-    w.cfg.Executor.stats.Executor.replay_instrs )
+let tally ?(snapshots = false) w =
+  let ex = w.cfg.Executor.stats in
+  {
+    w.counts with
+    useful = ex.Executor.useful_instrs;
+    replay = ex.Executor.replay_instrs;
+    solver =
+      (if snapshots then Smt.Solver.copy_stats w.cfg.Executor.solver
+       else Smt.Solver.zero_stats ());
+    coverage = (if snapshots then Bytes.copy w.cfg.Executor.coverage else Bytes.empty);
+  }

@@ -15,6 +15,31 @@ type 'env entry = {
   erecovery : bool;  (** re-seeded by crash recovery (cost accounting) *)
 }
 
+(** What a worker reports, wherever it runs: its ledger status reports,
+    both cluster runtimes' results ({!Outcome}) and the campaign service
+    all read these counters.  The worker bumps the mutable ones in place;
+    {!tally} fills in the engine's instruction counters and, on request,
+    snapshots of the solver stats and coverage vector. *)
+type tally = {
+  mutable paths : int;  (** completed paths: exits and errors *)
+  mutable errors : int;
+  mutable pruned : int;
+  useful : int;  (** instructions, replay excluded *)
+  replay : int;  (** replay instructions *)
+  mutable broken : int;  (** replays whose expected successor did not exist *)
+  mutable recovery_replay : int;  (** replay instructions of recovery jobs *)
+  mutable sent : int;  (** jobs transferred out *)
+  mutable received : int;  (** jobs imported *)
+  solver : Smt.Solver.stats;
+  coverage : Bytes.t;
+}
+
+(** All zero, empty coverage. *)
+val empty_tally : unit -> tally
+
+(** The sum of two tallies, coverage vectors unioned. *)
+val add_tally : tally -> tally -> tally
+
 type 'env mode =
   | Exploring
   | Replaying of {
@@ -35,7 +60,6 @@ type 'env t = {
           recovery; fork products matching one are dropped (and the
           entry consumed) *)
   rng : Random.State.t;
-  collect_tests : int;
   snapshots : (string, 'env Engine.State.t) Hashtbl.t;
   snap_queue : string Queue.t;
   snap_limit : int;
@@ -56,17 +80,11 @@ type 'env t = {
           pinned chain *)
   mutable mode : 'env mode;
   mutable cov_turn : bool;
-  mutable paths_completed : int;
-  mutable errors : int;
-  mutable pruned : int;
+  counts : tally;  (** the in-place counters; read them through {!tally} *)
   mutable tests : Engine.Testcase.t list;
-  mutable broken_replays : int;
+  mutable tests_left : int;  (** test cases still to collect *)
   mutable replays_done : int;
-  mutable jobs_sent : int;
-  mutable jobs_received : int;
   mutable banned_drops : int;
-  mutable recovery_replay_instrs : int;
-      (** replay instructions spent reconstructing recovery jobs *)
   mutable advances : int;
       (** explored forks and terminations: the frontier changes that a
           frontier export keeps (each candidate is exported at its last
@@ -133,5 +151,7 @@ val digest_paths : 'env t -> Engine.Path.t list
 
 val fence_count : 'env t -> int
 
-(** [(paths_completed, errors, useful_instrs, replay_instrs)]. *)
-val stats : 'env t -> int * int * int * int
+(** A snapshot of the worker's counters.  [~snapshots:true] also copies
+    its solver stats and coverage vector; otherwise they are zero and
+    empty. *)
+val tally : ?snapshots:bool -> 'env t -> tally

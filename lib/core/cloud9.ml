@@ -84,20 +84,7 @@ let run_local ?obs ?(options = default_options) (t : target) =
    [coverable] lines — used for the "cumulated coverage" columns of
    Table 5. *)
 let union_coverage ~coverable vectors =
-  match vectors with
-  | [] -> 0.0
-  | first :: _ ->
-    let acc = Bytes.make (Bytes.length first) '\000' in
-    List.iter
-      (fun v ->
-        for i = 0 to min (Bytes.length acc) (Bytes.length v) - 1 do
-          Bytes.set acc i (Char.chr (Char.code (Bytes.get acc i) lor Char.code (Bytes.get v i)))
-        done)
-      vectors;
-    let rec pop x n = if x = 0 then n else pop (x lsr 1) (n + (x land 1)) in
-    let covered = ref 0 in
-    Bytes.iter (fun c -> covered := !covered + pop (Char.code c) 0) acc;
-    if coverable = 0 then 1.0 else float_of_int !covered /. float_of_int coverable
+  Engine.Coverage.fraction ~coverable (Engine.Coverage.union vectors)
 
 (* --- test-case replay --------------------------------------------------------------- *)
 
@@ -155,25 +142,31 @@ let default_cluster_options =
     fault_plan = Cluster.Faultplan.none;
   }
 
-let make_worker ?obs ?(opts = default_cluster_options) (t : target) shared_alloc id =
-  (* scope the sink to this worker so engine/solver events carry its id *)
-  let obs = Option.map (fun s -> Obs.Sink.for_worker s id) obs in
-  let solver = Smt.Solver.create ?obs () in
+(* Worker [id] of either cluster runtime.  [obs] is the sink already
+   scoped to this worker, so engine and solver events carry its id;
+   [profile] adds wall-clock spans on it (real domains only: the
+   simulated runtime stays purely on virtual ticks).  [global_alloc] is
+   the shared-allocator ablation. *)
+let make_worker ?obs ?(profile = false) ?global_alloc ~opts (t : target) id =
+  let prof = if profile then Option.map Obs.Profile.create obs else None in
+  let solver = Smt.Solver.create ?obs ?prof () in
   let cfg =
-    Posix.Api.make_config ~solver ?obs ?max_steps:opts.cworker_max_steps
-      ~global_alloc:(if opts.use_global_alloc then Some shared_alloc else None)
+    Posix.Api.make_config ~solver ?obs ?max_steps:opts.cworker_max_steps ~global_alloc
       ~nlines:t.program.Cvm.Program.nlines ()
   in
   let make_root () = Posix.Api.initial_state t.program ~args:[] in
-  Cluster.Worker.create ~id ~cfg ~make_root ~seed:opts.cseed ()
+  Cluster.Worker.create ?prof ~id ~cfg ~make_root ~seed:opts.cseed ()
 
 let cluster_config ?obs ?(options = default_cluster_options) ?init_frontier ?(init_bans = [])
     ?stop_after_instrs (t : target) =
   let opts = options in
-  let shared_alloc = ref 0x1000 in
+  let global_alloc = if opts.use_global_alloc then Some (ref 0x1000) else None in
   {
     Cluster.Driver.nworkers = opts.nworkers;
-    make_worker = make_worker ?obs ~opts t shared_alloc;
+    make_worker =
+      (fun i ->
+        let obs = Option.map (fun s -> Obs.Sink.for_worker s i) obs in
+        make_worker ?obs ?global_alloc ~opts t i);
     join_tick = (fun i -> i * opts.join_spread);
     speed =
       (fun i ->
@@ -208,8 +201,8 @@ let run_cluster_slice ?obs ?options ?resume ~budget (t : target) =
   let init_frontier, init_bans =
     match resume with
     | None -> (None, [])
-    | Some (fx : Cluster.Driver.frontier_export) ->
-      (Some fx.Cluster.Driver.fx_jobs, fx.Cluster.Driver.fx_bans)
+    | Some (fx : Cluster.Outcome.frontier_export) ->
+      (Some fx.Cluster.Outcome.fx_jobs, fx.Cluster.Outcome.fx_bans)
   in
   Cluster.Driver.run ?obs
     (cluster_config ?obs ?options ?init_frontier ~init_bans ~stop_after_instrs:budget t)
@@ -221,8 +214,7 @@ let run_cluster_slice ?obs ?options ?resume ~budget (t : target) =
    caches, and the simplify memo are domain-local by construction; the
    observability sink is a buffered per-domain view flushed through the
    core's lock.  The [fault_plan] applies here too — crash ticks are
-   coordinator ticks (~1 ms each) rather than simulation ticks — and a
-   faulty run enables the heartbeat failure detector.  Simulation-only
+   coordinator ticks (~1 ms each) rather than simulation ticks.  Simulation-only
    options (speed, latency, the shared-allocator ablation) do not apply;
    beyond the plan, only [cworker_max_steps] and [cseed] are read. *)
 let run_parallel ?obs ?(ndomains = 2) ?(options = default_cluster_options) (t : target) =
@@ -238,25 +230,10 @@ let run_parallel ?obs ?(ndomains = 2) ?(options = default_cluster_options) (t : 
     Smt.Expr.set_lock_profiling true
   | None -> Smt.Expr.set_lock_profiling false);
   let make_worker i =
-    let obs = Option.map (fun s -> Obs.Sink.buffered s i) obs in
-    let prof = Option.map Obs.Profile.create obs in
-    let solver = Smt.Solver.create ?obs ?prof () in
-    let cfg =
-      Posix.Api.make_config ~solver ?obs ?max_steps:opts.cworker_max_steps
-        ~nlines:t.program.Cvm.Program.nlines ()
-    in
-    let make_root () = Posix.Api.initial_state t.program ~args:[] in
-    Cluster.Worker.create ?prof ~id:i ~cfg ~make_root ~seed:opts.cseed ()
+    make_worker ?obs:(Option.map (fun s -> Obs.Sink.buffered s i) obs) ~profile:true ~opts t i
   in
   let cfg =
     Cluster.Parallel.default_config ?obs ~faults:opts.fault_plan ~ndomains ~make_worker ()
-  in
-  (* a faulty run turns the heartbeat failure detector on (1 s suspect
-     interval at the default 1 ms tick); fault-free runs leave it off so
-     a detector false positive can never perturb the scaling gates *)
-  let cfg =
-    if Cluster.Faultplan.is_faultless opts.fault_plan then cfg
-    else { cfg with Cluster.Parallel.heartbeat_ticks = 1_000 }
   in
   Fun.protect
     ~finally:(fun () -> Smt.Expr.set_lock_profiling false)

@@ -87,15 +87,15 @@ val run_cluster : ?obs:Obs.Sink.t -> ?options:cluster_options -> target -> Clust
     instructions have executed (replay spent restoring a resumed frontier
     is not charged, so every slice makes exploration progress), starting
     from a checkpointed frontier when [resume] is given, then drains
-    in-flight transfers to a barrier and
-    returns with [result.export] holding the frontier/bans/coverage to
-    persist.  Chaining slices until the export's job list is empty
-    reaches the exact path/error totals of one uninterrupted exhaustive
-    run (the restore≡uninterrupted argument in DESIGN.md). *)
+    in-flight transfers to a barrier and returns with [export] holding
+    the frontier and bans to persist.  Chaining slices until the
+    export's job list is empty reaches the exact path/error totals of
+    one uninterrupted exhaustive run (the restore≡uninterrupted argument
+    in DESIGN.md). *)
 val run_cluster_slice :
   ?obs:Obs.Sink.t ->
   ?options:cluster_options ->
-  ?resume:Cluster.Driver.frontier_export ->
+  ?resume:Cluster.Outcome.frontier_export ->
   budget:int ->
   target ->
   Cluster.Driver.result

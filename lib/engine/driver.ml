@@ -26,9 +26,7 @@ type 'env result = {
 
 (* [coverable]: the program's coverable-line count, computed once per run
    (building it walks every instruction). *)
-let coverage_fraction cfg ~coverable =
-  if coverable = 0 then 1.0
-  else float_of_int (Executor.coverage_count cfg) /. float_of_int coverable
+let coverage_fraction cfg ~coverable = Coverage.ratio ~coverable (Executor.coverage_count cfg)
 
 let goal_met cfg ~coverable ~paths = function
   | Exhaust -> false

@@ -127,19 +127,9 @@ let coverage_count cfg = cfg.stats.covered_lines
 (* Merge an external coverage bit vector (e.g. the load balancer's global
    view) into this engine's; returns the updated covered-line count. *)
 let merge_coverage cfg vec =
-  let n = min (Bytes.length vec) (Bytes.length cfg.coverage) in
-  let count = ref 0 in
-  for i = 0 to Bytes.length cfg.coverage - 1 do
-    let b =
-      if i < n then Char.code (Bytes.get cfg.coverage i) lor Char.code (Bytes.get vec i)
-      else Char.code (Bytes.get cfg.coverage i)
-    in
-    Bytes.set cfg.coverage i (Char.chr b);
-    let rec popcount x acc = if x = 0 then acc else popcount (x lsr 1) (acc + (x land 1)) in
-    count := !count + popcount b 0
-  done;
-  cfg.stats.covered_lines <- !count;
-  !count
+  Coverage.union_into cfg.coverage vec;
+  cfg.stats.covered_lines <- Coverage.popcount cfg.coverage;
+  cfg.stats.covered_lines
 
 (* --- step results ------------------------------------------------------------ *)
 

@@ -8,7 +8,8 @@
    {!Core.Cloud9.run_cluster_slice}: each slice resumes from the stored
    frontier, runs an instruction budget, and drains to a barrier whose
    export replaces the stored frontier.  A multicore campaign runs to
-   completion in a single (non-preemptible) turn on real domains. *)
+   completion in a single (non-preemptible) turn on real domains.  Both
+   fold into the campaign through the one {!apply}. *)
 
 module Path = Engine.Path
 
@@ -81,80 +82,43 @@ let create spec =
 (* Runnable = the scheduler may hand it a slice. *)
 let runnable c = match c.status with Queued | Running -> true | Paused | Done | Cancelled -> false
 
-let or_coverage c (v : Bytes.t) =
-  if Bytes.length v > 0 then begin
-    if Bytes.length c.coverage < Bytes.length v then begin
-      let g = Bytes.make (Bytes.length v) '\000' in
-      Bytes.blit c.coverage 0 g 0 (Bytes.length c.coverage);
-      c.coverage <- g
-    end;
-    for i = 0 to Bytes.length v - 1 do
-      Bytes.set c.coverage i
-        (Char.chr (Char.code (Bytes.get c.coverage i) lor Char.code (Bytes.get v i)))
-    done
-  end
+let or_coverage c v = c.coverage <- Engine.Coverage.union [ c.coverage; v ]
 
-let popcount_bytes b =
-  let rec pop x acc = if x = 0 then acc else pop (x lsr 1) (acc + (x land 1)) in
-  let n = ref 0 in
-  Bytes.iter (fun ch -> n := !n + pop (Char.code ch) 0) b;
-  !n
-
+(* The covered fraction, once a turn has measured it. *)
 let recompute_coverage_frac c =
-  if c.coverable > 0 then
-    c.coverage_frac <- float_of_int (popcount_bytes c.coverage) /. float_of_int c.coverable
+  if c.started then c.coverage_frac <- Engine.Coverage.fraction ~coverable:c.coverable c.coverage
 
-(* Fold one simulated slice into the campaign.  The slice must have
-   reached a drained barrier ([export] present); its frontier replaces
-   the stored one, and an empty exported frontier means the execution
-   tree is fully explored — the campaign is done. *)
-let apply_slice c (r : Cluster.Driver.result) ~coverable =
+(* Fold one turn into the campaign: a simulated slice or a one-shot
+   multicore run.  The run must have stopped at a drained barrier
+   ([export] present); its frontier replaces the stored one, and an empty
+   exported frontier means the execution tree is fully explored — the
+   campaign is done. *)
+let apply c (r : Cluster.Outcome.t) ~coverable =
+  let module O = Cluster.Outcome in
   c.slices <- c.slices + 1;
-  c.paths <- c.paths + r.Cluster.Driver.total_paths;
-  c.errors <- c.errors + r.Cluster.Driver.total_errors;
-  c.useful <- c.useful + r.Cluster.Driver.useful_instrs;
-  c.replay <- c.replay + r.Cluster.Driver.replay_instrs;
-  c.transfers <- c.transfers + r.Cluster.Driver.transfers;
+  c.paths <- c.paths + r.O.total_paths;
+  c.errors <- c.errors + r.O.total_errors;
+  c.useful <- c.useful + r.O.useful_instrs;
+  c.replay <- c.replay + r.O.replay_instrs;
+  c.transfers <- c.transfers + r.O.transfers;
   c.started <- true;
   c.coverable <- coverable;
-  match r.Cluster.Driver.export with
+  or_coverage c r.O.coverage_vector;
+  recompute_coverage_frac c;
+  match r.O.export with
   | None ->
     Error
-      (Printf.sprintf "campaign %s: slice %d ended without a frontier export (max_ticks bailout)"
-         c.spec.sp_name c.slices)
+      (Printf.sprintf "campaign %s: slice %d stopped short of a drained barrier" c.spec.sp_name
+         c.slices)
   | Some fx ->
-    c.frontier <- fx.Cluster.Driver.fx_jobs;
-    c.bans <- fx.Cluster.Driver.fx_bans;
-    or_coverage c fx.Cluster.Driver.fx_coverage;
-    recompute_coverage_frac c;
+    c.frontier <- fx.O.fx_jobs;
+    c.bans <- fx.O.fx_bans;
     if c.frontier = [] then c.status <- Done;
     Ok ()
 
-(* Fold a one-shot multicore run: the campaign completes in this turn. *)
-let apply_parallel c (r : Cluster.Parallel.result) =
-  c.slices <- c.slices + 1;
-  c.paths <- c.paths + r.Cluster.Parallel.total_paths;
-  c.errors <- c.errors + r.Cluster.Parallel.total_errors;
-  c.useful <- c.useful + r.Cluster.Parallel.useful_instrs;
-  c.replay <- c.replay + r.Cluster.Parallel.replay_instrs;
-  c.transfers <- c.transfers + r.Cluster.Parallel.transfers;
-  c.started <- true;
-  c.frontier <- [];
-  c.coverage_frac <- r.Cluster.Parallel.final_coverage;
-  c.status <- Done
-
 (* The resume point handed to the next slice; [None] = seed the root. *)
 let resume_export c =
-  if not c.started then None
-  else
-    Some
-      {
-        Cluster.Driver.fx_jobs = c.frontier;
-        fx_bans = c.bans;
-        fx_paths = 0;
-        fx_errors = 0;
-        fx_coverage = Bytes.create 0;
-      }
+  if not c.started then None else Some { Cluster.Outcome.fx_jobs = c.frontier; fx_bans = c.bans }
 
 (* Control-plane summary (one JSONL [status] event row). *)
 let summary c =

@@ -46,21 +46,21 @@ val create : spec -> t
 (** The scheduler may hand it a slice (Queued or Running). *)
 val runnable : t -> bool
 
-(** OR a slice's union coverage vector into the cumulative one. *)
+(** OR a turn's union coverage vector into the cumulative one. *)
 val or_coverage : t -> Bytes.t -> unit
 
+(** Recompute [coverage_frac] ({!Engine.Coverage.fraction}) once the
+    campaign has started. *)
 val recompute_coverage_frac : t -> unit
 
-(** Fold one simulated slice in; [Error] when the slice ended without a
-    frontier export (a [max_ticks] bailout mid-flight).  An empty
-    exported frontier marks the campaign [Done]. *)
-val apply_slice : t -> Cluster.Driver.result -> coverable:int -> (unit, string) result
-
-(** Fold a one-shot multicore run in; the campaign completes. *)
-val apply_parallel : t -> Cluster.Parallel.result -> unit
+(** Fold one turn in — a simulated slice or a one-shot multicore run:
+    counters, coverage vector, and the exported frontier and bans.
+    [Error] when the run stopped short of a drained barrier (no
+    export).  An empty exported frontier marks the campaign [Done]. *)
+val apply : t -> Cluster.Outcome.t -> coverable:int -> (unit, string) result
 
 (** Resume point for the next slice; [None] = seed the root. *)
-val resume_export : t -> Cluster.Driver.frontier_export option
+val resume_export : t -> Cluster.Outcome.frontier_export option
 
 (** Control-plane summary row. *)
 val summary : t -> Obs.Json.t

@@ -295,52 +295,39 @@ let run_slice t (c : Campaign.t) =
          (Printf.sprintf "campaign %s: target %s no longer resolvable" s.sp_name s.sp_target))
   | Some target -> (
     let coverable = List.length (Cvm.Program.covered_lines target.Core.Cloud9.program) in
-    match s.sp_runtime with
-    | Campaign.Parallel ndomains ->
-      let options =
-        {
-          Core.Cloud9.default_cluster_options with
-          cworker_max_steps = Some s.sp_max_steps;
-          cseed = s.sp_seed;
-        }
-      in
-      let r = Core.Cloud9.run_parallel ?obs:t.cfg.obs ~ndomains ~options target in
-      Campaign.apply_parallel c r;
-      bump t c ~paths:r.Cluster.Parallel.total_paths ~errors:r.Cluster.Parallel.total_errors
-        ~instrs:(r.Cluster.Parallel.useful_instrs + r.Cluster.Parallel.replay_instrs);
-      telemetry_slice t c ~useful:r.Cluster.Parallel.useful_instrs
-        ~replay:r.Cluster.Parallel.replay_instrs
-        ~solver_queries:r.Cluster.Parallel.solver_stats.Smt.Solver.queries
-        ~crashes:r.Cluster.Parallel.crashes ~retransmits:r.Cluster.Parallel.retransmits;
-      emit t (Control.Campaign_done { name = s.sp_name; summary = Campaign.summary c })
-    | Campaign.Sim -> (
-      let options =
-        {
-          Core.Cloud9.default_cluster_options with
-          nworkers = s.sp_workers;
-          speed = s.sp_speed;
-          cworker_max_steps = Some s.sp_max_steps;
-          cseed = s.sp_seed;
-        }
-      in
-      let budget = Option.value s.sp_slice_instrs ~default:t.cfg.slice_instrs in
-      let resume = Campaign.resume_export c in
-      c.Campaign.status <- Campaign.Running;
-      let r = Core.Cloud9.run_cluster_slice ?obs:t.cfg.obs ~options ?resume ~budget target in
-      match Campaign.apply_slice c r ~coverable with
-      | Error e ->
-        c.Campaign.status <- Campaign.Paused;
-        emit t (Control.Service_error e)
-      | Ok () ->
-        bump t c ~paths:r.Cluster.Driver.total_paths ~errors:r.Cluster.Driver.total_errors
-          ~instrs:(r.Cluster.Driver.useful_instrs + r.Cluster.Driver.replay_instrs);
-        telemetry_slice t c ~useful:r.Cluster.Driver.useful_instrs
-          ~replay:r.Cluster.Driver.replay_instrs
-          ~solver_queries:r.Cluster.Driver.solver_stats.Smt.Solver.queries
-          ~crashes:r.Cluster.Driver.crashes ~retransmits:r.Cluster.Driver.retransmits;
-        if c.Campaign.status = Campaign.Done then
-          emit t (Control.Campaign_done { name = s.sp_name; summary = Campaign.summary c })
-        else emit t (Control.Progress { name = s.sp_name; summary = Campaign.summary c })))
+    let options =
+      {
+        Core.Cloud9.default_cluster_options with
+        nworkers = s.sp_workers;
+        speed = s.sp_speed;
+        cworker_max_steps = Some s.sp_max_steps;
+        cseed = s.sp_seed;
+      }
+    in
+    c.Campaign.status <- Campaign.Running;
+    let r =
+      match s.sp_runtime with
+      | Campaign.Parallel ndomains ->
+        Core.Cloud9.run_parallel ?obs:t.cfg.obs ~ndomains ~options target
+      | Campaign.Sim ->
+        let budget = Option.value s.sp_slice_instrs ~default:t.cfg.slice_instrs in
+        let resume = Campaign.resume_export c in
+        Core.Cloud9.run_cluster_slice ?obs:t.cfg.obs ~options ?resume ~budget target
+    in
+    let module O = Cluster.Outcome in
+    match Campaign.apply c r ~coverable with
+    | Error e ->
+      c.Campaign.status <- Campaign.Paused;
+      emit t (Control.Service_error e)
+    | Ok () ->
+      bump t c ~paths:r.O.total_paths ~errors:r.O.total_errors
+        ~instrs:(r.O.useful_instrs + r.O.replay_instrs);
+      telemetry_slice t c ~useful:r.O.useful_instrs ~replay:r.O.replay_instrs
+        ~solver_queries:r.O.solver_stats.Smt.Solver.queries ~crashes:r.O.crashes
+        ~retransmits:r.O.retransmits;
+      if c.Campaign.status = Campaign.Done then
+        emit t (Control.Campaign_done { name = s.sp_name; summary = Campaign.summary c })
+      else emit t (Control.Progress { name = s.sp_name; summary = Campaign.summary c }))
 
 (* One daemon step: drain the control plane, then grant one slice to the
    next runnable campaign in rotation. *)

@@ -70,46 +70,46 @@ let run_cluster ?(nworkers = 4) ?lb_disable_at ?(speed = 500) program =
 
 let test_single_worker_exhausts () =
   let result = run_cluster ~nworkers:1 workload in
-  Alcotest.(check bool) "reached goal" true result.Cluster.Driver.reached_goal;
+  Alcotest.(check bool) "reached goal" true result.Cluster.Outcome.reached_goal;
   Alcotest.(check int) "same path count as single-node engine"
-    (Lazy.force reference_path_count) result.Cluster.Driver.total_paths
+    (Lazy.force reference_path_count) result.Cluster.Outcome.total_paths
 
 let test_multi_worker_exhausts_exactly () =
   List.iter
     (fun nworkers ->
       let result = run_cluster ~nworkers workload in
       Alcotest.(check bool) (Printf.sprintf "%d workers reach goal" nworkers) true
-        result.Cluster.Driver.reached_goal;
+        result.Cluster.Outcome.reached_goal;
       (* completeness (no lost subtree) and disjointness (no duplicated
          subtree) together force exact equality *)
       Alcotest.(check int)
         (Printf.sprintf "%d workers: exact path count" nworkers)
-        (Lazy.force reference_path_count) result.Cluster.Driver.total_paths;
+        (Lazy.force reference_path_count) result.Cluster.Outcome.total_paths;
       Alcotest.(check int)
         (Printf.sprintf "%d workers: no broken replays" nworkers)
-        0 result.Cluster.Driver.broken_replays)
+        0 result.Cluster.Outcome.broken_replays)
     [ 2; 4; 8 ]
 
 let test_transfers_happen () =
   let result = run_cluster ~nworkers:4 workload in
-  Alcotest.(check bool) "jobs were transferred" true (result.Cluster.Driver.transfers > 0)
+  Alcotest.(check bool) "jobs were transferred" true (result.Cluster.Outcome.transfers > 0)
 
 let test_all_workers_contribute () =
   let result = run_cluster ~nworkers:4 workload in
   List.iter
     (fun (id, useful) ->
       Alcotest.(check bool) (Printf.sprintf "worker %d did useful work" id) true (useful > 0))
-    result.Cluster.Driver.per_worker_useful
+    result.Cluster.Outcome.per_worker_useful
 
 let test_more_workers_faster () =
   (* slow per-worker speed so parallelism matters *)
   let r1 = run_cluster ~nworkers:1 ~speed:200 workload in
   let r4 = run_cluster ~nworkers:4 ~speed:200 workload in
   Alcotest.(check bool)
-    (Printf.sprintf "4 workers (%d ticks) beat 1 worker (%d ticks)" r4.Cluster.Driver.ticks
-       r1.Cluster.Driver.ticks)
+    (Printf.sprintf "4 workers (%d ticks) beat 1 worker (%d ticks)" r4.Cluster.Outcome.ticks
+       r1.Cluster.Outcome.ticks)
     true
-    (r4.Cluster.Driver.ticks < r1.Cluster.Driver.ticks)
+    (r4.Cluster.Outcome.ticks < r1.Cluster.Outcome.ticks)
 
 let test_lb_disable_hurts () =
   let on = run_cluster ~nworkers:8 ~speed:200 workload in
@@ -117,10 +117,10 @@ let test_lb_disable_hurts () =
   (* with balancing disabled immediately, only the seeded worker makes
      progress, so exhaustion takes much longer *)
   Alcotest.(check bool)
-    (Printf.sprintf "LB off (%d ticks) slower than LB on (%d ticks)" off.Cluster.Driver.ticks
-       on.Cluster.Driver.ticks)
+    (Printf.sprintf "LB off (%d ticks) slower than LB on (%d ticks)" off.Cluster.Outcome.ticks
+       on.Cluster.Outcome.ticks)
     true
-    (off.Cluster.Driver.ticks > on.Cluster.Driver.ticks)
+    (off.Cluster.Outcome.ticks > on.Cluster.Outcome.ticks)
 
 (* --- worker-level mechanics ----------------------------------------------------------- *)
 
@@ -151,9 +151,10 @@ let test_worker_replays_virtual_jobs () =
     end
   in
   drain 100;
-  Alcotest.(check bool) "destination completed paths" true (dst.Cluster.Worker.paths_completed > 0);
+  Alcotest.(check bool) "destination completed paths" true
+    ((Cluster.Worker.tally dst).Cluster.Worker.paths > 0);
   Alcotest.(check int) "replays finished" 3 dst.Cluster.Worker.replays_done;
-  Alcotest.(check int) "no broken replays" 0 dst.Cluster.Worker.broken_replays;
+  Alcotest.(check int) "no broken replays" 0 (Cluster.Worker.tally dst).Cluster.Worker.broken;
   Alcotest.(check bool) "replay instructions accounted" true
     (dst.Cluster.Worker.cfg.Engine.Executor.stats.Engine.Executor.replay_instrs > 0)
 
@@ -179,7 +180,7 @@ let replay_cost_alone job =
     if
       n > 0
       && w.Cluster.Worker.replays_done = 0
-      && w.Cluster.Worker.broken_replays = 0
+      && (Cluster.Worker.tally w).Cluster.Worker.broken = 0
     then begin
       ignore (Cluster.Worker.execute w ~budget:5000);
       go (n - 1)
@@ -220,7 +221,7 @@ let prop_batch_replay_bound =
         thief.Cluster.Worker.cfg.Engine.Executor.stats.Engine.Executor.replay_instrs
       in
       let indep = List.fold_left (fun acc j -> acc + replay_cost_alone j) 0 jobs in
-      thief.Cluster.Worker.broken_replays = 0
+      (Cluster.Worker.tally thief).Cluster.Worker.broken = 0
       && thief.Cluster.Worker.replays_done = k
       && batch_cost <= indep - ((k - 1) * List.length batch.Cluster.Job.prefix))
 
@@ -244,8 +245,8 @@ let prop_recovery_replay_accounted =
         thief.Cluster.Worker.cfg.Engine.Executor.stats.Engine.Executor.replay_instrs
       in
       replay > 0
-      && thief.Cluster.Worker.recovery_replay_instrs = replay
-      && thief.Cluster.Worker.broken_replays = 0)
+      && (Cluster.Worker.tally thief).Cluster.Worker.recovery_replay = replay
+      && (Cluster.Worker.tally thief).Cluster.Worker.broken = 0)
 
 (* The timed-out steal take-back (parallel runtime: an Offer expires and
    the victim re-imports its own batch as recovery work): exploration
@@ -262,10 +263,11 @@ let prop_takeback_roundtrip_exact =
       Cluster.Worker.receive_jobs ~recovery:true w jobs;
       drain w;
       let stats = w.Cluster.Worker.cfg.Engine.Executor.stats in
-      w.Cluster.Worker.paths_completed = Lazy.force reference_path_count
-      && w.Cluster.Worker.errors = 0
-      && w.Cluster.Worker.broken_replays = 0
-      && w.Cluster.Worker.recovery_replay_instrs <= stats.Engine.Executor.replay_instrs)
+      (Cluster.Worker.tally w).Cluster.Worker.paths = Lazy.force reference_path_count
+      && (Cluster.Worker.tally w).Cluster.Worker.errors = 0
+      && (Cluster.Worker.tally w).Cluster.Worker.broken = 0
+      && (Cluster.Worker.tally w).Cluster.Worker.recovery_replay
+         <= stats.Engine.Executor.replay_instrs)
 
 (* --- balancer ---------------------------------------------------------------------------- *)
 

@@ -25,10 +25,10 @@ let test_cluster_matches_local () =
       ~options:{ C.default_cluster_options with C.nworkers = 4; speed = 1000; status_interval = 5 }
       t
   in
-  Alcotest.(check bool) "cluster reached goal" true cluster.Cluster.Driver.reached_goal;
+  Alcotest.(check bool) "cluster reached goal" true cluster.Cluster.Outcome.reached_goal;
   Alcotest.(check int) "cluster explores exactly the local path count" local.C.paths
-    cluster.Cluster.Driver.total_paths;
-  Alcotest.(check int) "no broken replays" 0 cluster.Cluster.Driver.broken_replays
+    cluster.Cluster.Outcome.total_paths;
+  Alcotest.(check int) "no broken replays" 0 cluster.Cluster.Outcome.broken_replays
 
 let test_registry_complete () =
   (* every Table 4 system is present with a default variant *)

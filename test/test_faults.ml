@@ -10,6 +10,7 @@
    fault plan's determinism. *)
 
 module CD = Cluster.Driver
+module O = Cluster.Outcome
 module FP = Cluster.Faultplan
 module Ledger = Cluster.Ledger
 module Path = Engine.Path
@@ -43,29 +44,29 @@ let run ?(faults = FP.none) ?(nworkers = 8) ?(speed = 50) program =
    run's tick count so both land in the thick of the exploration. *)
 let differential name program () =
   let free = run program in
-  Alcotest.(check bool) (name ^ ": fault-free run exhausts") true free.CD.reached_goal;
+  Alcotest.(check bool) (name ^ ": fault-free run exhausts") true free.O.reached_goal;
   let plan =
     FP.create
       ~crashes:
         [
-          FP.crash 2 ~at_tick:(max 1 (free.CD.ticks / 3));
-          FP.crash 5 ~at_tick:(max 2 (free.CD.ticks / 2)) ~rejoin_after:60;
+          FP.crash 2 ~at_tick:(max 1 (free.O.ticks / 3));
+          FP.crash 5 ~at_tick:(max 2 (free.O.ticks / 2)) ~rejoin_after:60;
         ]
       ~drop_prob:0.05 ~seed:9 ()
   in
   let faulty = run ~faults:plan program in
-  Alcotest.(check bool) (name ^ ": faulty run exhausts") true faulty.CD.reached_goal;
-  Alcotest.(check int) (name ^ ": same total paths") free.CD.total_paths faulty.CD.total_paths;
-  Alcotest.(check int) (name ^ ": same total errors") free.CD.total_errors
-    faulty.CD.total_errors;
-  Alcotest.(check int) (name ^ ": both crashes observed") 2 faulty.CD.crashes;
+  Alcotest.(check bool) (name ^ ": faulty run exhausts") true faulty.O.reached_goal;
+  Alcotest.(check int) (name ^ ": same total paths") free.O.total_paths faulty.O.total_paths;
+  Alcotest.(check int) (name ^ ": same total errors") free.O.total_errors
+    faulty.O.total_errors;
+  Alcotest.(check int) (name ^ ": both crashes observed") 2 faulty.O.crashes;
   Alcotest.(check bool)
     (name ^ ": recovery re-seeded jobs")
-    true (faulty.CD.recovered_jobs > 0);
+    true (faulty.O.recovered_jobs > 0);
   Alcotest.(check bool)
     (name ^ ": recovery replay cost accounted")
     true
-    (faulty.CD.recovered_jobs = 0 || faulty.CD.recovery_replay_instrs > 0);
+    (faulty.O.recovered_jobs = 0 || faulty.O.recovery_replay_instrs > 0);
   (* accounting consistency: recovery replay is a subset of total replay,
      and a fault-free fresh run never books any replay as recovery — the
      failure-path re-imports (timed-out offers, dead-thief re-routes,
@@ -73,10 +74,10 @@ let differential name program () =
   Alcotest.(check bool)
     (name ^ ": recovery replay within total replay")
     true
-    (faulty.CD.recovery_replay_instrs <= faulty.CD.replay_instrs);
+    (faulty.O.recovery_replay_instrs <= faulty.O.replay_instrs);
   Alcotest.(check int) (name ^ ": fault-free run books no recovery replay") 0
-    free.CD.recovery_replay_instrs;
-  Alcotest.(check int) (name ^ ": fault-free run re-seeds nothing") 0 free.CD.recovered_jobs
+    free.O.recovery_replay_instrs;
+  Alcotest.(check int) (name ^ ": fault-free run re-seeds nothing") 0 free.O.recovered_jobs
 
 (* ntokens:3 keeps the run long enough (~300 ticks) that both scheduled
    crashes land while the victims still hold leased or digested work —
@@ -96,10 +97,10 @@ let test_lossy_links_only () =
   let program = Targets.Test_target.program ~ntokens:2 in
   let free = run program in
   let faulty = run ~faults:(FP.create ~drop_prob:0.10 ~dup_prob:0.05 ~seed:3 ()) program in
-  Alcotest.(check bool) "lossy run exhausts" true faulty.CD.reached_goal;
-  Alcotest.(check int) "same total paths" free.CD.total_paths faulty.CD.total_paths;
-  Alcotest.(check int) "same total errors" free.CD.total_errors faulty.CD.total_errors;
-  Alcotest.(check int) "no crashes" 0 faulty.CD.crashes
+  Alcotest.(check bool) "lossy run exhausts" true faulty.O.reached_goal;
+  Alcotest.(check int) "same total paths" free.O.total_paths faulty.O.total_paths;
+  Alcotest.(check int) "same total errors" free.O.total_errors faulty.O.total_errors;
+  Alcotest.(check int) "no crashes" 0 faulty.O.crashes
 
 (* --- ledger unit tests -------------------------------------------------------------- *)
 

@@ -7,6 +7,7 @@ module J = Obs.Json
 module M = Obs.Metrics
 module C = Core.Cloud9
 module CD = Cluster.Driver
+module O = Cluster.Outcome
 
 (* --- json codec --------------------------------------------------------- *)
 
@@ -440,22 +441,22 @@ let run_faulty_cluster () =
 
 let test_cluster_run_reconciles () =
   let obs, r = run_faulty_cluster () in
-  Alcotest.(check bool) "the crash actually happened" true (r.CD.crashes >= 1);
+  Alcotest.(check bool) "the crash actually happened" true (r.O.crashes >= 1);
   let samples = Obs.Sink.metrics_samples obs in
   Alcotest.(check int) "per-worker useful totals equal the result's"
-    r.CD.useful_instrs
+    r.O.useful_instrs
     (sum_counter samples "worker_useful_instrs");
   Alcotest.(check int) "per-worker replay totals equal the result's"
-    r.CD.replay_instrs
+    r.O.replay_instrs
     (sum_counter samples "worker_replay_instrs");
   (* the per-worker solver aggregation covers at least every live worker *)
   Alcotest.(check bool) "per-worker solver stats present" true
-    (List.length r.CD.per_worker_solver >= 3);
+    (List.length r.O.per_worker_solver >= 3);
   let live_queries =
-    List.fold_left (fun a (_, st) -> a + st.Smt.Solver.queries) 0 r.CD.per_worker_solver
+    List.fold_left (fun a (_, st) -> a + st.Smt.Solver.queries) 0 r.O.per_worker_solver
   in
   Alcotest.(check bool) "aggregate includes dead workers" true
-    (r.CD.solver_stats.Smt.Solver.queries >= live_queries && live_queries > 0)
+    (r.O.solver_stats.Smt.Solver.queries >= live_queries && live_queries > 0)
 
 let test_chrome_trace_artifact () =
   let obs, _ = run_faulty_cluster () in

@@ -135,27 +135,27 @@ let differential ~name ~variant () =
   let local = C.run_local target in
   let sim = C.run_cluster target in
   let par = C.run_parallel ~ndomains:4 target in
-  Alcotest.(check int) "paths: parallel = local" local.C.paths par.Cluster.Parallel.total_paths;
+  Alcotest.(check int) "paths: parallel = local" local.C.paths par.Cluster.Outcome.total_paths;
   Alcotest.(check int)
-    "paths: parallel = simulated" sim.Cluster.Driver.total_paths
-    par.Cluster.Parallel.total_paths;
-  Alcotest.(check int) "errors: parallel = local" local.C.errors par.Cluster.Parallel.total_errors;
+    "paths: parallel = simulated" sim.Cluster.Outcome.total_paths
+    par.Cluster.Outcome.total_paths;
+  Alcotest.(check int) "errors: parallel = local" local.C.errors par.Cluster.Outcome.total_errors;
   Alcotest.(check int)
-    "errors: parallel = simulated" sim.Cluster.Driver.total_errors
-    par.Cluster.Parallel.total_errors;
+    "errors: parallel = simulated" sim.Cluster.Outcome.total_errors
+    par.Cluster.Outcome.total_errors;
   Alcotest.(check bool)
     "coverage agrees with local" true
-    (abs_float (local.C.coverage -. par.Cluster.Parallel.final_coverage) < 1e-9);
-  check_tier_sum "parallel" par.Cluster.Parallel.solver_stats;
+    (abs_float (local.C.coverage -. par.Cluster.Outcome.final_coverage) < 1e-9);
+  check_tier_sum "parallel" par.Cluster.Outcome.solver_stats;
   List.iter
     (fun (w, st) -> check_tier_sum (Printf.sprintf "parallel worker %d" w) st)
-    par.Cluster.Parallel.per_worker_solver;
+    par.Cluster.Outcome.per_worker_solver;
   (* every transferred job was sent by someone and received by someone *)
   Alcotest.(check int)
-    "jobs sent = jobs received" par.Cluster.Parallel.jobs_sent
-    par.Cluster.Parallel.jobs_received;
+    "jobs sent = jobs received" par.Cluster.Outcome.jobs_sent
+    par.Cluster.Outcome.jobs_received;
   Alcotest.(check int)
-    "transfers = jobs moved" par.Cluster.Parallel.transfers par.Cluster.Parallel.jobs_sent
+    "transfers = jobs moved" par.Cluster.Outcome.transfers par.Cluster.Outcome.jobs_sent
 
 (* --- wall-clock profiling smoke ----------------------------------------- *)
 
@@ -185,7 +185,7 @@ let test_profiled_run_reconciles () =
       0 samples
   in
   Alcotest.(check int) "every query closed exactly one span"
-    r.Cluster.Parallel.solver_stats.Smt.Solver.queries
+    r.Cluster.Outcome.solver_stats.Smt.Solver.queries
     (hist_count "latency_ns" "solver_query");
   (* workers 1-3 start with empty queues, so someone must have waited *)
   Alcotest.(check bool) "mailbox waits recorded" true

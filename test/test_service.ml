@@ -130,7 +130,14 @@ let test_cli_flag_rejections () =
     Alcotest.(check bool) "--parallel 0 rejected" true (run [ "run"; "printf"; "-p"; "0" ] <> 0);
     Alcotest.(check bool) "--workers -1 rejected" true (run [ "run"; "printf"; "-w"; "-1" ] <> 0);
     Alcotest.(check bool) "serve --slice 0 rejected" true
-      (run [ "serve"; "--state"; "/dev/null"; "--slice"; "0" ] <> 0)
+      (run [ "serve"; "--state"; "/dev/null"; "--slice"; "0" ] <> 0);
+    (* a fault plan naming a worker outside the cluster is refused up
+       front, with exit code 1, in both cluster modes *)
+    List.iter
+      (fun mode ->
+        Alcotest.(check int) (mode ^ " 2 --crash 5@10: exit 1") 1
+          (run [ "run"; "test"; "-v"; "sym-3"; mode; "2"; "--crash"; "5@10" ]))
+      [ "--workers"; "--parallel" ]
   end
 
 (* --- scheduler ---------------------------------------------------------- *)
@@ -271,8 +278,8 @@ let test_export_serialize_reimport_differential () =
   let full = C.run_cluster ~options:small_options t in
   (* slice 1: preempt after a small budget, frontier captured at barrier *)
   let r1 = C.run_cluster_slice ~options:small_options ~budget:4000 t in
-  let fx = Option.get r1.Cluster.Driver.export in
-  Alcotest.(check bool) "mid-run frontier nonempty" true (fx.Cluster.Driver.fx_jobs <> []);
+  let fx = Option.get r1.Cluster.Outcome.export in
+  Alcotest.(check bool) "mid-run frontier nonempty" true (fx.Cluster.Outcome.fx_jobs <> []);
   (* round-trip every frontier/ban path through the snapshot wire format *)
   let reparse p =
     match Path.of_string (Path.to_string p) with
@@ -281,28 +288,27 @@ let test_export_serialize_reimport_differential () =
   in
   let fx =
     {
-      fx with
-      Cluster.Driver.fx_jobs = List.map reparse fx.Cluster.Driver.fx_jobs;
-      fx_bans = List.map reparse fx.Cluster.Driver.fx_bans;
+      Cluster.Outcome.fx_jobs = List.map reparse fx.Cluster.Outcome.fx_jobs;
+      fx_bans = List.map reparse fx.Cluster.Outcome.fx_bans;
     }
   in
   (* slice 2: resume from the reparsed frontier, run to exhaustion *)
   let r2 = C.run_cluster_slice ~options:small_options ~resume:fx ~budget:max_int t in
-  let fx2 = Option.get r2.Cluster.Driver.export in
-  Alcotest.(check (list pass)) "exhausted" [] fx2.Cluster.Driver.fx_jobs;
+  let fx2 = Option.get r2.Cluster.Outcome.export in
+  Alcotest.(check (list pass)) "exhausted" [] fx2.Cluster.Outcome.fx_jobs;
   Alcotest.(check int) "paths match uninterrupted"
-    full.Cluster.Driver.total_paths
-    (r1.Cluster.Driver.total_paths + r2.Cluster.Driver.total_paths);
+    full.Cluster.Outcome.total_paths
+    (r1.Cluster.Outcome.total_paths + r2.Cluster.Outcome.total_paths);
   Alcotest.(check int) "errors match uninterrupted"
-    full.Cluster.Driver.total_errors
-    (r1.Cluster.Driver.total_errors + r2.Cluster.Driver.total_errors);
-  (* coverage: OR of the slices' exported vectors equals the full run's *)
+    full.Cluster.Outcome.total_errors
+    (r1.Cluster.Outcome.total_errors + r2.Cluster.Outcome.total_errors);
+  (* coverage: OR of the slices' vectors equals the full run's *)
   let coverable = List.length (Cvm.Program.covered_lines t.C.program) in
   let union =
     C.union_coverage ~coverable
-      [ fx.Cluster.Driver.fx_coverage; fx2.Cluster.Driver.fx_coverage ]
+      [ r1.Cluster.Outcome.coverage_vector; r2.Cluster.Outcome.coverage_vector ]
   in
-  Alcotest.(check (float 1e-9)) "coverage matches" full.Cluster.Driver.final_coverage union
+  Alcotest.(check (float 1e-9)) "coverage matches" full.Cluster.Outcome.final_coverage union
 
 (* --- control plane ------------------------------------------------------ *)
 
@@ -482,10 +488,46 @@ let test_checkpoint_kill_restore_differential () =
   drive_to_completion d2;
   let c = Option.get (Service.Daemon.find d2 "c1") in
   Alcotest.(check bool) "done" true (c.Service.Campaign.status = Service.Campaign.Done);
-  Alcotest.(check int) "paths == uninterrupted" full.Cluster.Driver.total_paths
+  Alcotest.(check int) "paths == uninterrupted" full.Cluster.Outcome.total_paths
     c.Service.Campaign.paths;
-  Alcotest.(check int) "errors == uninterrupted" full.Cluster.Driver.total_errors
+  Alcotest.(check int) "errors == uninterrupted" full.Cluster.Outcome.total_errors
     c.Service.Campaign.errors;
+  Sys.remove state
+
+(* A multicore campaign completes in one turn; its coverage, paths and
+   errors must survive a checkpoint and a restore into a fresh daemon. *)
+let test_parallel_campaign_restore () =
+  let state = tmp_file "_state.json" in
+  let cfg = { (Service.Daemon.default_config ~state_file:state) with checkpoint_every = 0 } in
+  let d = Result.get_ok (Service.Daemon.create cfg) in
+  Service.Daemon.submit d
+    {
+      Service.Campaign.sp_name = "par";
+      sp_target = "test";
+      sp_variant = Some "sym-3";
+      sp_runtime = Service.Campaign.Parallel 2;
+      sp_workers = 2;
+      sp_speed = 2000;
+      sp_max_steps = 1_000_000;
+      sp_seed = 42;
+      sp_slice_instrs = None;
+    };
+  drive_to_completion d;
+  let before = Option.get (Service.Daemon.find d "par") in
+  Alcotest.(check bool) "done" true (before.Service.Campaign.status = Service.Campaign.Done);
+  Service.Daemon.checkpoint d;
+  let d2 = Result.get_ok (Service.Daemon.create cfg) in
+  let after = Option.get (Service.Daemon.find d2 "par") in
+  let field c k =
+    match J.member k (Service.Campaign.summary c) with
+    | Some (J.Num x) -> x
+    | _ -> Alcotest.fail ("summary field " ^ k)
+  in
+  Alcotest.(check bool) "covered something" true (field before "coverage" > 0.0);
+  List.iter
+    (fun k ->
+      Alcotest.(check (float 1e-12)) (k ^ " survives the restart") (field before k) (field after k))
+    [ "coverage"; "paths"; "errors" ];
   Sys.remove state
 
 (* --- slice progress -------------------------------------------------------- *)
@@ -760,6 +802,7 @@ let () =
           Alcotest.test_case "checkpoint/kill/restore differential" `Quick
             test_checkpoint_kill_restore_differential;
           Alcotest.test_case "small slices finish" `Quick test_small_slices_finish;
+          Alcotest.test_case "parallel campaign coverage" `Quick test_parallel_campaign_restore;
         ] );
       ("fairness", [ Alcotest.test_case "multi-tenant progress" `Quick test_multi_tenant_progress ]);
       ( "telemetry",
